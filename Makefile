@@ -41,8 +41,10 @@ check: build fmt-check test perf-quick profile-smoke predict-smoke chip-smoke \
 perf:
 	dune exec bench/main.exe -- perf
 
-# Fast smoke version of the snapshot: small sweep sizes, a fixed two-domain
-# fan-out (results are identical at any --jobs value).
+# Smoke run of the perf snapshot at a fixed two-domain fan-out (results are
+# identical at any --jobs value). It measures the same configs and sizes as
+# `make perf`: SINGE_FAST only shrinks the figure sweeps in
+# Experiments.Figures, which the snapshot does not run.
 perf-quick:
 	SINGE_FAST=1 dune exec bench/main.exe -- perf --jobs 2
 

@@ -18,6 +18,15 @@ type output = {
   n_params : int;
   n_logical_consts : int;
   exchange : Shuffle_synth.report;
+  stage_ns : stage_ns;
+}
+
+and stage_ns = {
+  overlay_ns : float;
+  exchange_ns : float;
+  list_schedule_ns : float;
+  regalloc_ns : float;
+  finalize_ns : float;
 }
 
 module Isa = Gpusim.Isa
@@ -56,6 +65,20 @@ type vinstr =
   | VBarW of { bar : int; count : int }
   | VBarCta
 
+(* [Array.of_list] (like [Array.map] and [Array.init]) seeds its result
+   with the first element, and the runtime runs a whole minor collection
+   before filling a major-heap array with a young seed. Lowering turns
+   fresh streams of thousands of instructions into arrays several times
+   per call, so those arrays get a static seed instead. *)
+let array_of_list ~seed l =
+  let a = Array.make (List.length l) seed in
+  List.iteri (fun i x -> a.(i) <- x) l;
+  a
+
+let stream_array l = array_of_list ~seed:(0, VBarCta) l
+
+module Int_tbl = Hashtbl.Make (Int)
+
 (* ---- growable tables for logical constants and parameters ---- *)
 
 type tables = {
@@ -69,6 +92,7 @@ type tables = {
   mutable n_const_mem : int;
   const_mem_cache : (float, int) Hashtbl.t;
   n_warps : int;
+  warps_memo : int list Int_tbl.t;  (** mask -> its warps, ascending *)
 }
 
 let fresh_tables n_warps =
@@ -83,7 +107,21 @@ let fresh_tables n_warps =
     n_const_mem = 0;
     const_mem_cache = Hashtbl.create 64;
     n_warps;
+    warps_memo = Int_tbl.create 64;
   }
+
+(* The warps of [mask], ascending. Memoized per mask: the overlay and the
+   exchange rewrite ask for every emitted group and every shared cell. *)
+let warps_of tables mask =
+  match Int_tbl.find_opt tables.warps_memo mask with
+  | Some ws -> ws
+  | None ->
+      let ws =
+        List.filter (fun w -> mask land (1 lsl w) <> 0)
+          (List.init tables.n_warps Fun.id)
+      in
+      Int_tbl.add tables.warps_memo mask ws;
+      ws
 
 let vector_key v =
   String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") v))
@@ -104,10 +142,7 @@ let alloc_const tables (values : float array) =
    (logical id, base offset). [exact] forbids offset folding — global field
    selectors have no place to carry a base. *)
 let alloc_param ?(exact = false) tables ~mask (values : int array) =
-  let ws =
-    List.filter (fun w -> mask land (1 lsl w) <> 0)
-      (List.init tables.n_warps Fun.id)
-  in
+  let ws = warps_of tables mask in
   let w0 = List.hd ws in
   let norm =
     List.map (fun w -> values.(w) - values.(w0)) ws
@@ -147,7 +182,9 @@ type ctx = {
   mapping : Mapping.t;
   tables : tables;
   groups : Isa.group_info array;
-  vreg_of : (int * int, int) Hashtbl.t;  (** (warp, value) -> vreg *)
+  vreg_of : int array;
+      (** [warp * n_values + value] -> the vreg holding the value in that
+          warp's registers, [-1] none; dfg value ids are dense *)
   mutable next_vreg : int;
   mutable out_rev : (int * vinstr) list;  (** (mask, instr), newest first *)
   full_mask : int;
@@ -160,6 +197,8 @@ type ctx = {
       (** logical constants that fit the register bank; the rest overflow
           to a per-warp shared-memory constant region *)
   overflow_base : int;  (** shared address of that region *)
+  op_shape : int array;  (** op id -> interned {!Sexpr.shape}, [-1] not yet *)
+  shape_ids : (string, int) Hashtbl.t;
 }
 
 let ctx_group ctx name =
@@ -178,72 +217,140 @@ let fresh_vreg ctx =
 
 let emit ctx mask i = ctx.out_rev <- (mask, i) :: ctx.out_rev
 
-(* Total replacement for the raw [Hashtbl.find ctx.vreg_of]: a missing
-   binding means the schedule consumed a value a warp never produced or
-   received, and that must surface as a diagnostic naming the warp and
-   value, not as an anonymous [Not_found] escaping the pipeline. *)
+(* The vreg holding [value] in [warp]'s registers, [-1] when there is
+   none; a value outside the graph has no binding. *)
+let vreg_lookup ctx ~warp value =
+  let n = Array.length ctx.dfg.Dfg.values in
+  if value < 0 || value >= n then -1 else ctx.vreg_of.((warp * n) + value)
+
+let bind_vreg ctx ~warp value r =
+  let n = Array.length ctx.dfg.Dfg.values in
+  if value >= 0 && value < n then ctx.vreg_of.((warp * n) + value) <- r
+
+(* A missing binding means the schedule consumed a value a warp never
+   produced or received, and that must surface as a diagnostic naming the
+   warp and value, not as an anonymous failure escaping the pipeline. *)
 let vreg_find ctx ~what ~warp value =
-  match Hashtbl.find_opt ctx.vreg_of (warp, value) with
-  | Some r -> r
-  | None ->
+  match vreg_lookup ctx ~warp value with
+  | r when r >= 0 -> r
+  | _ ->
       Diagnostics.failf ~pass:"lower"
         "%s: dfg value %d is not in a register for warp %d (consumed \
          before any compute/load/recv produced it there)"
         what value warp
 
 (* Source class of an op input as seen by one warp: shared-placed values
-   are always read from shared memory (uniform across warps); register
-   values must already have a local copy. *)
+   are always read from shared memory (uniform across warps), class [-1];
+   register values must already have a local copy, and their class is
+   that copy's vreg. *)
 let src_class ctx warp v =
   if v < 0 || v >= Array.length ctx.mapping.Mapping.value_place then
     Diagnostics.failf ~pass:"lower"
       "schedule references dfg value %d outside the graph (%d values)" v
       (Array.length ctx.mapping.Mapping.value_place);
   match ctx.mapping.Mapping.value_place.(v) with
-  | Mapping.P_shared -> "S"
+  | Mapping.P_shared -> -1
   | Mapping.P_reg -> (
-      match Hashtbl.find_opt ctx.vreg_of (warp, v) with
-      | Some r -> Printf.sprintf "R%d" r
-      | None ->
+      match vreg_lookup ctx ~warp v with
+      | r when r >= 0 -> r
+      | _ ->
           Diagnostics.failf ~pass:"lower"
             "warp %d reads value %s (%d) with no register copy in scope" warp
             ctx.dfg.Dfg.values.(v).Dfg.vname v)
+
+(* The overlay grouping key of one warp's front action: warps whose keys
+   are equal are emitted as one instruction group. [tag] is the op's
+   alignment tag; [out] the destination's placement, part of the shape
+   because a group must either store its results to shared memory or keep
+   them in registers uniformly; [shape] the interned expression shape. *)
+type key =
+  | K_fence
+  | K_load of {
+      tag : string option;
+      group : string;
+      via_tex : bool;
+      out : Mapping.placement option;
+    }
+  | K_store of { tag : string option; group : string; src : int }
+  | K_compute of {
+      tag : string option;
+      shape : int;
+      srcs : int array;
+      out : Mapping.placement option;
+    }
+  | K_send of int
+  | K_recv
+  | K_arrive of int * int
+  | K_wait of int * int
+  | K_cta
+
+let shape_id ctx op_id e =
+  let id = ctx.op_shape.(op_id) in
+  if id >= 0 then id
+  else begin
+    let shape = Sexpr.shape e in
+    let id =
+      match Hashtbl.find_opt ctx.shape_ids shape with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length ctx.shape_ids in
+          Hashtbl.add ctx.shape_ids shape id;
+          id
+    in
+    ctx.op_shape.(op_id) <- id;
+    id
+  end
 
 let action_key ctx warp (a : Schedule.action) =
   match a with
   | Schedule.A_op op_id -> (
       let op = ctx.dfg.Dfg.ops.(op_id) in
-      (* The destination's placement is part of the shape: a group must
-         either store its results to shared memory or keep them in
-         registers uniformly. *)
-      let out_place =
-        match op.Dfg.output with
-        | None -> "-"
-        | Some v -> (
-            match ctx.mapping.Mapping.value_place.(v) with
-            | Mapping.P_shared -> "S"
-            | Mapping.P_reg -> "R")
+      let out =
+        Option.map (fun v -> ctx.mapping.Mapping.value_place.(v)) op.Dfg.output
       in
-      let tag = match op.Dfg.align with Some a -> a ^ "|" | None -> "" in
+      let tag = op.Dfg.align in
       match op.Dfg.kind with
-      | Dfg.Fence -> "fence"
-      | Dfg.Load { group; via_tex; _ } ->
-          Printf.sprintf "%sld:%s:%b:%s" tag group via_tex out_place
+      | Dfg.Fence -> K_fence
+      | Dfg.Load { group; via_tex; _ } -> K_load { tag; group; via_tex; out }
       | Dfg.Store { group; _ } ->
-          Printf.sprintf "%sst:%s:%s" tag group (src_class ctx warp op.Dfg.inputs.(0))
+          K_store { tag; group; src = src_class ctx warp op.Dfg.inputs.(0) }
       | Dfg.Compute e ->
-          let sig_ =
-            Array.to_list op.Dfg.inputs
-            |> List.map (src_class ctx warp)
-            |> String.concat ","
-          in
-          Printf.sprintf "%sc:%s:%s:%s" tag (Sexpr.shape e) sig_ out_place)
-  | Schedule.A_send { value; _ } ->
-      Printf.sprintf "snd:%s" (src_class ctx warp value)
-  | Schedule.A_recv _ -> "rcv"
-  | Schedule.A_arrive { bar; count } -> Printf.sprintf "ba:%d:%d" bar count
-  | Schedule.A_wait { bar; count } -> Printf.sprintf "bw:%d:%d" bar count
-  | Schedule.A_cta_barrier -> "cta"
+          let srcs = Array.map (src_class ctx warp) op.Dfg.inputs in
+          K_compute { tag; shape = shape_id ctx op_id e; srcs; out })
+  | Schedule.A_send { value; _ } -> K_send (src_class ctx warp value)
+  | Schedule.A_recv _ -> K_recv
+  | Schedule.A_arrive { bar; count } -> K_arrive (bar, count)
+  | Schedule.A_wait { bar; count } -> K_wait (bar, count)
+  | Schedule.A_cta_barrier -> K_cta
+
+(* The key's text form, for [SINGE_DEBUG_OVERLAY] traces. *)
+let key_to_string ctx key =
+  let tag = function Some a -> a ^ "|" | None -> "" in
+  let src c = if c < 0 then "S" else Printf.sprintf "R%d" c in
+  let place = function
+    | None -> "-"
+    | Some Mapping.P_shared -> "S"
+    | Some Mapping.P_reg -> "R"
+  in
+  match key with
+  | K_fence -> "fence"
+  | K_load { tag = t; group; via_tex; out } ->
+      Printf.sprintf "%sld:%s:%b:%s" (tag t) group via_tex (place out)
+  | K_store { tag = t; group; src = c } ->
+      Printf.sprintf "%sst:%s:%s" (tag t) group (src c)
+  | K_compute { tag = t; shape; srcs; out } ->
+      let shape =
+        Hashtbl.fold (fun s id acc -> if id = shape then s else acc)
+          ctx.shape_ids ""
+      in
+      Printf.sprintf "%sc:%s:%s:%s" (tag t) shape
+        (String.concat "," (Array.to_list (Array.map src srcs)))
+        (place out)
+  | K_send c -> "snd:" ^ src c
+  | K_recv -> "rcv"
+  | K_arrive (bar, count) -> Printf.sprintf "ba:%d:%d" bar count
+  | K_wait (bar, count) -> Printf.sprintf "bw:%d:%d" bar count
+  | K_cta -> "cta"
 
 (* ---- constant materialization ---- *)
 
@@ -299,10 +406,7 @@ let const_operand ctx ~mask ~ws (values : float array) =
    parameter when needed. [addrs] gives the base per warp (entries of warps
    outside [mask] are ignored). *)
 let shared_operand ctx ~mask ~(addrs : int array) ~lane =
-  let ws =
-    List.filter (fun w -> mask land (1 lsl w) <> 0)
-      (List.init ctx.mapping.Mapping.n_warps Fun.id)
-  in
+  let ws = warps_of ctx.tables mask in
   let w0 = List.hd ws in
   let uniform = List.for_all (fun w -> addrs.(w) = addrs.(w0)) ws in
   if uniform then
@@ -408,7 +512,7 @@ let lower_compute ctx ~mask ~(ws : int list) ~(ops : Dfg.op array) =
       emit ctx mask (VStS { src = Vreg result_reg; addr; pred = None })
   | Mapping.P_reg ->
       List.iteri
-        (fun k w -> Hashtbl.replace ctx.vreg_of (w, out_v k) result_reg)
+        (fun k w -> bind_vreg ctx ~warp:w (out_v k) result_reg)
         ws)
 
 let lower_action_group ctx ~mask ~(ws : int list)
@@ -462,7 +566,7 @@ let lower_action_group ctx ~mask ~(ws : int list)
               emit ctx mask (VStS { src = Vreg dst; addr; pred = None })
           | Mapping.P_reg ->
               List.iteri
-                (fun k w -> Hashtbl.replace ctx.vreg_of (w, out_v k) dst)
+                (fun k w -> bind_vreg ctx ~warp:w (out_v k) dst)
                 ws)
       | Dfg.Store { group = group_name; _ } ->
           let fields = Array.make n_warps 0 in
@@ -522,7 +626,7 @@ let lower_action_group ctx ~mask ~(ws : int list)
         (fun k w ->
           match actions.(k) with
           | Schedule.A_recv { value; _ } ->
-              Hashtbl.replace ctx.vreg_of (w, value) dst
+              bind_vreg ctx ~warp:w value dst
           | _ -> assert false)
         ws
   | Schedule.A_arrive { bar; count } -> emit ctx mask (VBarA { bar; count })
@@ -539,9 +643,27 @@ let is_sync_action = function
 
 let run_overlay ctx (sched : Schedule.t) =
   let n = ctx.mapping.Mapping.n_warps in
+  let debug = Sys.getenv_opt "SINGE_DEBUG_OVERLAY" <> None in
   let ptr = Array.make n 0 in
   let remaining w = ptr.(w) < Array.length sched.Schedule.per_warp.(w) in
   let next w = sched.Schedule.per_warp.(w).(ptr.(w)) in
+  (* Each warp's front key is computed once and kept until the warp
+     advances. Sound because a key reads only the graph, the mapping and
+     the warp's own [vreg_of] bindings, and those are written only for the
+     warps of the emitted group — which all advance past their action. *)
+  let keys = Array.make n None in
+  let key w =
+    match keys.(w) with
+    | Some k -> k
+    | None ->
+        let k = action_key ctx w (next w) in
+        keys.(w) <- Some k;
+        k
+  in
+  let advance w =
+    ptr.(w) <- ptr.(w) + 1;
+    keys.(w) <- None
+  in
   let continue = ref true in
   while !continue do
     (* Priorities keep the simultaneous traversal aligned (the paper's
@@ -549,7 +671,10 @@ let run_overlay ctx (sched : Schedule.t) =
        named-barrier traffic is drained eagerly, and CTA barriers are
        rendezvous points — a warp parked on one waits until every live
        warp reaches its own, producing a single unmasked bar.cta. *)
-    let at_cta w = remaining w && next w = Schedule.A_cta_barrier in
+    let at_cta w =
+      remaining w
+      && match next w with Schedule.A_cta_barrier -> true | _ -> false
+    in
     let live w = remaining w && not (at_cta w) in
     let best = ref (-1) in
     for w = 0 to n - 1 do
@@ -578,59 +703,73 @@ let run_overlay ctx (sched : Schedule.t) =
       | ws ->
           let mask = List.fold_left (fun m w -> m lor (1 lsl w)) 0 ws in
           emit ctx mask VBarCta;
-          List.iter (fun w -> ptr.(w) <- ptr.(w) + 1) ws
+          List.iter advance ws
     end
     else begin
       let w0 = !best in
-      let key0 = action_key ctx w0 (next w0) in
+      let key0 = key w0 in
       let ws =
-        List.filter
-          (fun w -> live w && action_key ctx w (next w) = key0)
-          (List.init n Fun.id)
+        List.filter (fun w -> live w && key w = key0) (List.init n Fun.id)
       in
       let mask = List.fold_left (fun m w -> m lor (1 lsl w)) 0 ws in
       let actions = Array.of_list (List.map next ws) in
-      (match Sys.getenv_opt "SINGE_DEBUG_OVERLAY" with
-      | Some _ ->
-          let fronts =
-            String.concat " "
-              (List.map
-                 (fun w ->
-                   if not (remaining w) then "-"
-                   else
-                     match next w with
-                     | Schedule.A_op o -> "o" ^ string_of_int o
-                     | Schedule.A_send _ -> "s"
-                     | Schedule.A_recv _ -> "r"
-                     | Schedule.A_arrive { bar; _ } -> "a" ^ string_of_int bar
-                     | Schedule.A_wait { bar; _ } -> "w" ^ string_of_int bar
-                     | Schedule.A_cta_barrier -> "C")
-                 (List.init n Fun.id))
-          in
-          Printf.eprintf "group mask=%x key=%s fronts=[%s]\n" mask (String.sub key0 0 (min 30 (String.length key0))) fronts
-      | None -> ());
+      if debug then begin
+        let fronts =
+          String.concat " "
+            (List.map
+               (fun w ->
+                 if not (remaining w) then "-"
+                 else
+                   match next w with
+                   | Schedule.A_op o -> "o" ^ string_of_int o
+                   | Schedule.A_send _ -> "s"
+                   | Schedule.A_recv _ -> "r"
+                   | Schedule.A_arrive { bar; _ } -> "a" ^ string_of_int bar
+                   | Schedule.A_wait { bar; _ } -> "w" ^ string_of_int bar
+                   | Schedule.A_cta_barrier -> "C")
+               (List.init n Fun.id))
+        in
+        let key0 = key_to_string ctx key0 in
+        Printf.eprintf "group mask=%x key=%s fronts=[%s]\n" mask
+          (String.sub key0 0 (min 30 (String.length key0)))
+          fronts
+      end;
       lower_action_group ctx ~mask ~ws ~actions;
-      List.iter (fun w -> ptr.(w) <- ptr.(w) + 1) ws
+      List.iter advance ws
     end
   done
 
 (* ---- register allocation (Belady furthest-next-use with spilling) ---- *)
 
-let src_vregs srcs =
-  Array.to_list srcs
-  |> List.filter_map (function Vreg v -> Some v | _ -> None)
+(* The vregs an instruction reads, in operand order (repeats kept). *)
+let iter_src_vregs f = function
+  | VArith { srcs; _ } -> Array.iter (function Vreg v -> f v | _ -> ()) srcs
+  | VStG { src; _ } | VStS { src; _ } -> (
+      match src with Vreg v -> f v | _ -> ())
+  | VSwz { src; _ } -> f src
+  | VLdG _ | VLdS _ | VBcast _ | VBarA _ | VBarW _ | VBarCta -> ()
 
-let instr_src_vregs = function
-  | VArith { srcs; _ } -> src_vregs srcs
-  | VStG { src; _ } | VStS { src; _ } -> src_vregs [| src |]
-  | VSwz { src; _ } -> [ src ]
-  | VLdG _ | VLdS _ | VBcast _ | VBarA _ | VBarW _ | VBarCta -> []
+let instr_src_vregs ins =
+  let l = ref [] in
+  iter_src_vregs (fun v -> l := v :: !l) ins;
+  List.rev !l
 
 let instr_dst = function
   | VArith { dst; _ } | VLdG { dst; _ } | VLdS { dst; _ } | VBcast { dst; _ }
   | VSwz { dst; _ } ->
       Some dst
   | VStG _ | VStS _ | VBarA _ | VBarW _ | VBarCta -> None
+
+(* The largest vreg id a stream mentions, [-1] when it mentions none. *)
+let max_vreg (code : (int * vinstr) array) =
+  let m = ref (-1) in
+  let see v = if v > !m then m := v in
+  Array.iter
+    (fun (_, ins) ->
+      (match instr_dst ins with Some d -> see d | None -> ());
+      iter_src_vregs see ins)
+    code;
+  !m
 
 (* ---- shuffle-exchange synthesis (the [--synth-exchange] rewrite) ----
 
@@ -653,15 +792,34 @@ let instr_dst = function
    out (regions above shift down), shrinking the CTA's shared
    footprint. *)
 
-type swriter = {
-  sw_pos : int;  (** position of the store in the stream *)
-  sw_warp : int;
-  sw_src : vsrc;
-  sw_lane : int;  (** source lane resident at this address, [-1] unknown *)
-}
+(* The cells one warp's shared store writes from base address [b], each
+   with the source lane resident there ([-1]: a warp-uniform address
+   written by more than one lane). *)
+let iter_store_cells (a : vshaddr) pred b f =
+  if a.vs_lane then
+    match pred with
+    | None ->
+        for l = 0 to 31 do
+          f (b + l) l
+        done
+    | Some (Isa.Lane_eq k) -> f (b + k) k
+    | Some (Isa.Lane_lt n) ->
+        for l = 0 to n - 1 do
+          f (b + l) l
+        done
+  else
+    match pred with
+    | Some (Isa.Lane_eq k) -> f b k
+    | Some (Isa.Lane_lt _) | None -> f b (-1)
 
-let warps_of_mask ~n_warps mask =
-  List.filter (fun w -> mask land (1 lsl w) <> 0) (List.init n_warps Fun.id)
+(* The cells one warp's shared read (or any access, ignoring the
+   predicate) covers from base address [b]. *)
+let iter_access_cells (a : vshaddr) b f =
+  if a.vs_lane then
+    for l = 0 to 31 do
+      f (b + l)
+    done
+  else f b
 
 (* How far (in stream positions) a forward may extend a live range before
    the pressure gate refuses it. Derived from the register file instead of
@@ -697,62 +855,75 @@ let derived_live_slack ~freg_budget (dfg : Dfg.t) (mapping : Mapping.t) =
 let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
     ~live_slack tables (code : (int * vinstr) list) =
   (* Snapshot before compaction allocates fresh parameters below. *)
-  let params_arr = Array.of_list (List.rev tables.params) in
+  let params_arr = array_of_list ~seed:[||] (List.rev tables.params) in
   let resolve_base (a : vshaddr) w =
     a.vs_base
     + (if a.vs_warp then w else 0)
     + (match a.vs_param with Some id -> params_arr.(id).(w) | None -> 0)
   in
-  let code = Array.of_list code in
-  (* 1. Writer catalog: absolute shared double address -> static writers,
-     over the whole body. Forwarding demands a unique writer, which makes
-     it immune to slot recycling and to the body re-executing per pass. *)
-  let writers : (int, swriter list ref) Hashtbl.t = Hashtbl.create 256 in
-  let add_writer addr wr =
-    match Hashtbl.find_opt writers addr with
-    | Some l -> l := wr :: !l
-    | None -> Hashtbl.add writers addr (ref [ wr ])
+  let code = stream_array code in
+  let warps_of = warps_of tables in
+  (* Shared addresses and vreg ids are dense, so the per-address and
+     per-vreg tables below are arrays: cells over [lo, lo + n_cells),
+     covering every cell the stream accesses (the rewrite only drops
+     accesses; a lane-striped access covers at most its base and the 31
+     cells above), and vregs below the stream's [n_vregs]. *)
+  let lo = ref max_int and hi = ref min_int in
+  let span_access mask (a : vshaddr) =
+    List.iter
+      (fun w ->
+        let b = resolve_base a w in
+        if b < !lo then lo := b;
+        let top = if a.vs_lane then b + 31 else b in
+        if top > !hi then hi := top)
+      (warps_of mask)
   in
+  Array.iter
+    (fun (mask, ins) ->
+      match ins with
+      | VStS { src; addr; _ } ->
+          span_access mask addr;
+          (match src with Vshared a -> span_access mask a | _ -> ())
+      | VLdS { addr; _ } -> span_access mask addr
+      | VArith { srcs; _ } ->
+          Array.iter (function Vshared a -> span_access mask a | _ -> ()) srcs
+      | VStG { src = Vshared a; _ } -> span_access mask a
+      | _ -> ())
+    code;
+  let lo = !lo in
+  let n_cells = if !hi < lo then 0 else !hi - lo + 1 in
+  (* 1. Writer catalog: absolute shared double address -> its static
+     writer over the whole body: the store's stream position, its warp and
+     the source lane resident there ([-1] unknown). Forwarding demands a
+     unique writer, which makes it immune to slot recycling and to the
+     body re-executing per pass; [wr_pos] is [-1] for an address nothing
+     writes and [-2] for one several stores write. *)
+  let wr_pos = Array.make n_cells (-1) in
+  let wr_warp = Array.make n_cells 0 in
+  let wr_lane = Array.make n_cells 0 in
   Array.iteri
     (fun pos (mask, ins) ->
       match ins with
-      | VStS { src; addr; pred } ->
+      | VStS { addr; pred; _ } ->
           List.iter
             (fun w ->
-              let b = resolve_base addr w in
-              let cells =
-                if addr.vs_lane then
-                  match pred with
-                  | None -> List.init 32 (fun l -> (b + l, l))
-                  | Some (Isa.Lane_eq k) -> [ (b + k, k) ]
-                  | Some (Isa.Lane_lt n) -> List.init n (fun l -> (b + l, l))
-                else
-                  match pred with
-                  | Some (Isa.Lane_eq k) -> [ (b, k) ]
-                  | Some (Isa.Lane_lt _) | None -> [ (b, -1) ]
-              in
-              List.iter
-                (fun (a, lane) ->
-                  add_writer a
-                    { sw_pos = pos; sw_warp = w; sw_src = src; sw_lane = lane })
-                cells)
-            (warps_of_mask ~n_warps mask)
+              iter_store_cells addr pred (resolve_base addr w) (fun a lane ->
+                  let i = a - lo in
+                  if wr_pos.(i) = -1 then begin
+                    wr_pos.(i) <- pos;
+                    wr_warp.(i) <- w;
+                    wr_lane.(i) <- lane
+                  end
+                  else wr_pos.(i) <- -2))
+            (warps_of mask)
       | _ -> ())
     code;
-  (* Destinations of identity-forwarded loads alias the stored register. *)
-  let subst : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let rec canon v =
-    match Hashtbl.find_opt subst v with Some v' -> canon v' | None -> v
-  in
-  let next_vreg =
-    let m = ref 0 in
-    Array.iter
-      (fun (_, ins) ->
-        (match instr_dst ins with Some d -> m := max !m (d + 1) | None -> ());
-        List.iter (fun s -> m := max !m (s + 1)) (instr_src_vregs ins))
-      code;
-    ref !m
-  in
+  let n_vregs = 1 + max_vreg code in
+  (* Destinations of identity-forwarded loads alias the stored register
+     ([-1]: no alias). *)
+  let subst = Array.make n_vregs (-1) in
+  let rec canon v = if subst.(v) >= 0 then canon subst.(v) else v in
+  let next_vreg = ref n_vregs in
   let fresh () =
     let v = !next_vreg in
     next_vreg := v + 1;
@@ -766,16 +937,12 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
      the store was the register's last use. Only forward reads that do
      not extend the source's live range beyond a small slack past its
      original last use. *)
-  let last_use : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let last_use = Array.make n_vregs (-1) in
   Array.iteri
     (fun pos (_, ins) ->
-      List.iter (fun v -> Hashtbl.replace last_use v pos) (instr_src_vregs ins))
+      iter_src_vregs (fun v -> last_use.(v) <- pos) ins)
     code;
-  let pressure_ok r pos =
-    match Hashtbl.find_opt last_use r with
-    | Some u -> pos - u <= live_slack
-    | None -> false
-  in
+  let pressure_ok r pos = last_use.(r) >= 0 && pos - last_use.(r) <= live_slack in
   (* Can the read of [addr] at stream position [pos] under [mask] be
      served from a register every reading warp holds? Returns the source
      vreg and the swizzle program mapping its lanes to the read lanes. *)
@@ -792,24 +959,24 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
           let cell l = if addr.vs_lane then b + l else b in
           let pat =
             Array.init 32 (fun l ->
-                match Hashtbl.find_opt writers (cell l) with
-                | Some { contents = [ wr ] }
-                  when wr.sw_warp = w && wr.sw_pos < pos && wr.sw_lane >= 0
-                  -> (
-                    match wr.sw_src with
-                    | Vreg r ->
-                        let r = canon r in
-                        if not (pressure_ok r pos) then raise No;
-                        if !src < 0 then src := r
-                        else if !src <> r then raise No;
-                        wr.sw_lane
-                    | _ -> raise No)
-                | _ -> raise No)
+                let i = cell l - lo in
+                let wpos = wr_pos.(i) in
+                if wpos >= 0 && wr_warp.(i) = w && wpos < pos && wr_lane.(i) >= 0
+                then
+                  match code.(wpos) with
+                  | _, VStS { src = Vreg r; _ } ->
+                      let r = canon r in
+                      if not (pressure_ok r pos) then raise No;
+                      if !src < 0 then src := r
+                      else if !src <> r then raise No;
+                      wr_lane.(i)
+                  | _ -> raise No
+                else raise No)
           in
           match !pattern with
           | None -> pattern := Some pat
           | Some p0 -> if p0 <> pat then raise No)
-        (warps_of_mask ~n_warps mask);
+        (warps_of mask);
       match !pattern with
       | Some pat when !src >= 0 ->
           if pat = identity then Some (!src, [])
@@ -839,7 +1006,7 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
     go r prog
   in
   let fwd_stats mask prog =
-    let nw = List.length (warps_of_mask ~n_warps mask) in
+    let nw = List.length (warps_of mask) in
     bump (fun r ->
         {
           r with
@@ -849,10 +1016,14 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
         })
   in
   Array.iteri
-    (fun pos (mask, ins) ->
-      let sub_src = function Vreg v -> Vreg (canon v) | s -> s in
-      let fwd_operand s =
+    (fun pos ((mask, ins) as orig) ->
+      (* Operands come back physically unchanged unless rewritten, and
+         an unchanged instruction is kept as is. *)
+      let operand s =
         match s with
+        | Vreg v ->
+            let c = canon v in
+            if c = v then s else Vreg c
         | Vshared a -> (
             match decide pos mask a with
             | Some (r, []) ->
@@ -866,41 +1037,43 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
             | None -> s)
         | s -> s
       in
+      let keep () = out := orig :: !out in
       match ins with
       | VArith r ->
-          emit mask
-            (VArith
-               { r with srcs = Array.map (fun s -> fwd_operand (sub_src s)) r.srcs })
-      | VStG r -> emit mask (VStG { r with src = fwd_operand (sub_src r.src) })
-      | VStS r -> emit mask (VStS { r with src = fwd_operand (sub_src r.src) })
+          let srcs = Array.map operand r.srcs in
+          if Array.for_all2 ( == ) srcs r.srcs then keep ()
+          else emit mask (VArith { r with srcs })
+      | VStG r ->
+          let src = operand r.src in
+          if src == r.src then keep () else emit mask (VStG { r with src })
+      | VStS r ->
+          let src = operand r.src in
+          if src == r.src then keep () else emit mask (VStS { r with src })
       | VLdS { dst; addr } -> (
           match decide pos mask addr with
           | Some (r, []) ->
-              Hashtbl.replace subst dst r;
+              subst.(dst) <- r;
               fwd_stats mask []
           | Some (r, prog) ->
               emit_chain mask r prog ~dst;
               fwd_stats mask prog
-          | None -> emit mask (VLdS { dst; addr }))
-      | VSwz r -> emit mask (VSwz { r with src = canon r.src })
-      | (VLdG _ | VBcast _ | VBarA _ | VBarW _ | VBarCta) as i -> emit mask i)
+          | None -> keep ())
+      | VSwz r ->
+          let src = canon r.src in
+          if src = r.src then keep () else emit mask (VSwz { r with src })
+      | VLdG _ | VBcast _ | VBarA _ | VBarW _ | VBarCta -> keep ())
     code;
-  let code = Array.of_list (List.rev !out) in
+  let code = stream_array (List.rev !out) in
   (* 3. Dead-store elimination: a store none of whose written addresses
      is read anywhere in the rewritten body (any warp) is unobservable in
      every iteration — loop-safe because the read set covers the whole
      stream. *)
-  let read_addrs : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  let read_addrs = Array.make n_cells false in
   let note_read (a : vshaddr) mask =
     List.iter
       (fun w ->
-        let b = resolve_base a w in
-        if a.vs_lane then
-          for l = 0 to 31 do
-            Hashtbl.replace read_addrs (b + l) ()
-          done
-        else Hashtbl.replace read_addrs b ())
-      (warps_of_mask ~n_warps mask)
+        iter_access_cells a (resolve_base a w) (fun c -> read_addrs.(c - lo) <- true))
+      (warps_of mask)
   in
   Array.iter
     (fun (mask, ins) ->
@@ -913,19 +1086,13 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
       | _ -> ())
     code;
   let store_live mask (addr : vshaddr) pred =
-    List.exists
+    let live = ref false in
+    List.iter
       (fun w ->
-        let b = resolve_base addr w in
-        let cells =
-          if addr.vs_lane then
-            match pred with
-            | None -> List.init 32 (fun l -> b + l)
-            | Some (Isa.Lane_eq k) -> [ b + k ]
-            | Some (Isa.Lane_lt n) -> List.init n (fun l -> b + l)
-          else [ b ]
-        in
-        List.exists (Hashtbl.mem read_addrs) cells)
-      (warps_of_mask ~n_warps mask)
+        iter_store_cells addr pred (resolve_base addr w) (fun c _ ->
+            if read_addrs.(c - lo) then live := true))
+      (warps_of mask);
+    !live
   in
   let code =
     Array.to_list code
@@ -949,15 +1116,7 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
   let touched = Array.make (max 1 total_slots) false in
   let note a = if a >= 0 && a < store_limit then touched.(a / 32) <- true in
   let note_addr (a : vshaddr) mask =
-    List.iter
-      (fun w ->
-        let b = resolve_base a w in
-        if a.vs_lane then
-          for l = 0 to 31 do
-            note (b + l)
-          done
-        else note b)
-      (warps_of_mask ~n_warps mask)
+    List.iter (fun w -> iter_access_cells a (resolve_base a w) note) (warps_of mask)
   in
   List.iter
     (fun (mask, ins) ->
@@ -992,7 +1151,7 @@ let synth_exchange_pass ~(arch : Gpusim.Arch.t) ~n_warps ~store_limit
         end
       in
       let rewrite_addr mask (a : vshaddr) =
-        let ws = warps_of_mask ~n_warps mask in
+        let ws = warps_of mask in
         let res = Array.make n_warps 0 in
         List.iter
           (fun w ->
@@ -1049,6 +1208,14 @@ let sched_latency = function
 let reads_shared srcs =
   Array.exists (function Vshared _ -> true | _ -> false) srcs
 
+(* Ready instructions ordered by (ready time, segment index). *)
+module Ready = Set.Make (struct
+  type t = int * int
+
+  let compare (t1, i1) (t2, i2) =
+    match Int.compare t1 t2 with 0 -> Int.compare i1 i2 | c -> c
+end)
+
 let schedule_segment (seg : (int * vinstr) array) =
   let n = Array.length seg in
   if n <= 2 then seg
@@ -1067,7 +1234,7 @@ let schedule_segment (seg : (int * vinstr) array) =
           | Some d -> add_dep d i
           | None -> ()
         in
-        List.iter dep_on_vreg (instr_src_vregs ins);
+        iter_src_vregs dep_on_vreg ins;
         let shared_read () =
           if !last_shared_write >= 0 then add_dep !last_shared_write i;
           shared_reads_since := i :: !shared_reads_since
@@ -1102,13 +1269,9 @@ let schedule_segment (seg : (int * vinstr) array) =
       preds;
     let remaining = Array.map List.length preds in
     let ready_at = Array.make n 0 in
-    let module H = Set.Make (struct
-      type t = int * int
-      let compare = compare
-    end) in
-    let ready = ref H.empty in
+    let ready = ref Ready.empty in
     Array.iteri
-      (fun i r -> if r = 0 then ready := H.add (ready_at.(i), i) !ready)
+      (fun i r -> if r = 0 then ready := Ready.add (ready_at.(i), i) !ready)
       remaining;
     let out = ref [] in
     let n_done = ref 0 in
@@ -1121,27 +1284,17 @@ let schedule_segment (seg : (int * vinstr) array) =
     while !n_done < n do
       let limit = !min_unsched + window in
       let pick =
-        H.fold
-          (fun ((t, i) as key) acc ->
-            match acc with
-            | Some _ -> acc
-            | None -> if i < limit then Some (t, i, key) else None)
-          !ready None
-      in
-      let pick =
-        match pick with
-        | Some p -> Some p
-        | None -> (
+        match Seq.find (fun (_, i) -> i < limit) (Ready.to_seq !ready) with
+        | Some key -> Some key
+        | None ->
             (* Nothing inside the window is ready: fall back to the oldest
                ready instruction. *)
-            match H.min_elt_opt !ready with
-            | Some ((t, i) as key) -> Some (t, i, key)
-            | None -> None)
+            Ready.min_elt_opt !ready
       in
       match pick with
       | None -> failwith "schedule_segment: dependency cycle"
-      | Some (t, i, key) ->
-          ready := H.remove key !ready;
+      | Some ((t, i) as key) ->
+          ready := Ready.remove key !ready;
           out := seg.(i) :: !out;
           scheduled.(i) <- true;
           while !min_unsched < n && scheduled.(!min_unsched) do
@@ -1154,10 +1307,10 @@ let schedule_segment (seg : (int * vinstr) array) =
             (fun s ->
               remaining.(s) <- remaining.(s) - 1;
               ready_at.(s) <- max ready_at.(s) fin;
-              if remaining.(s) = 0 then ready := H.add (ready_at.(s), s) !ready)
+              if remaining.(s) = 0 then ready := Ready.add (ready_at.(s), s) !ready)
             succs.(i)
     done;
-    Array.of_list (List.rev !out)
+    stream_array (List.rev !out)
   end
 
 let list_schedule (code : (int * vinstr) list) =
@@ -1171,7 +1324,7 @@ let list_schedule (code : (int * vinstr) list) =
   let seg = ref [] in
   let seg_mask = ref min_int in
   let flush () =
-    let arr = Array.of_list (List.rev !seg) in
+    let arr = stream_array (List.rev !seg) in
     Array.iter (fun x -> out := x :: !out) (schedule_segment arr);
     seg := []
   in
@@ -1205,6 +1358,9 @@ type rinstr =
   | R_spill_st of int * int  (** phys, slot *)
   | R_spill_ld of int * int
 
+(* Where a vreg lives during allocation. *)
+type vloc = Nowhere | In_reg of int | Spilled of int  (** spill slot *)
+
 let rewrite_regs ins ~src_phys ~dst_phys =
   let rw = function Vreg v -> Vreg (src_phys v) | other -> other in
   match ins with
@@ -1227,88 +1383,94 @@ let regalloc ~first_phys ~budget ~spill_mask (code : (int * vinstr) array) =
      their own value). Liveness and Belady eviction therefore track, per
      physical register, the set of resident vregs and the union of their
      masks. *)
-  let use_positions : (int, int list ref) Hashtbl.t = Hashtbl.create 512 in
-  let vmask : (int, int) Hashtbl.t = Hashtbl.create 512 in
-  let add_mask v m =
-    Hashtbl.replace vmask v (m lor (Option.value ~default:0 (Hashtbl.find_opt vmask v)))
-  in
-  Array.iteri
-    (fun pos (mask, ins) ->
-      List.iter
+  (* Vreg ids are dense (numbered from 0 by the lowerer and the exchange
+     rewrite), so every per-vreg table is an array over the stream's
+     largest id. *)
+  let n_vregs = 1 + max_vreg code in
+  let n_uses = Array.make n_vregs 0 in
+  let vmask = Array.make n_vregs (-1) in
+  let add_mask v m = vmask.(v) <- m lor max 0 vmask.(v) in
+  Array.iter
+    (fun (mask, ins) ->
+      iter_src_vregs
         (fun v ->
           add_mask v mask;
-          match Hashtbl.find_opt use_positions v with
-          | Some l -> l := pos :: !l
-          | None -> Hashtbl.add use_positions v (ref [ pos ]))
-        (instr_src_vregs ins);
+          n_uses.(v) <- n_uses.(v) + 1)
+        ins;
       match instr_dst ins with Some v -> add_mask v mask | None -> ())
     code;
-  let mask_of v = Option.value ~default:spill_mask (Hashtbl.find_opt vmask v) in
-  let use_arr : (int, int array * int ref) Hashtbl.t = Hashtbl.create 512 in
-  Hashtbl.iter
-    (fun v l -> Hashtbl.add use_arr v (Array.of_list (List.rev !l), ref 0))
-    use_positions;
+  let mask_of v = if vmask.(v) < 0 then spill_mask else vmask.(v) in
+  (* Ascending use positions per vreg, and a cursor into them that only
+     moves forward: queries come in stream order. *)
+  let use_arr = Array.make n_vregs [||] in
+  Array.iteri (fun v k -> use_arr.(v) <- Array.make k 0) n_uses;
+  Array.fill n_uses 0 n_vregs 0;
+  Array.iteri
+    (fun pos (_, ins) ->
+      iter_src_vregs
+        (fun v ->
+          use_arr.(v).(n_uses.(v)) <- pos;
+          n_uses.(v) <- n_uses.(v) + 1)
+        ins)
+    code;
+  let use_ptr = Array.make n_vregs 0 in
   let next_use v ~after =
-    match Hashtbl.find_opt use_arr v with
-    | None -> max_int
-    | Some (arr, p) ->
-        while !p < Array.length arr && arr.(!p) < after do
-          incr p
-        done;
-        if !p < Array.length arr then arr.(!p) else max_int
+    let arr = use_arr.(v) in
+    let p = ref use_ptr.(v) in
+    while !p < Array.length arr && arr.(!p) < after do
+      incr p
+    done;
+    use_ptr.(v) <- !p;
+    if !p < Array.length arr then arr.(!p) else max_int
   in
   (* Physical register state. *)
   let n_phys = budget - first_phys in
   let residents = Array.make n_phys [] in (* (vreg, mask) list *)
   let used_mask = Array.make n_phys 0 in
-  let loc : (int, [ `Reg of int | `Spill of int ]) Hashtbl.t =
-    Hashtbl.create 512
-  in
-  let dirty : (int, bool) Hashtbl.t = Hashtbl.create 512 in
-  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let loc = Array.make n_vregs Nowhere in
+  let dirty = Array.make n_vregs false in
+  let slot_of = Array.make n_vregs (-1) in
   let n_slots = ref 0 in
   let high = ref 0 in
   let out = ref [] in
   let emit mask i = out := (mask, i) :: !out in
   let get_slot v =
-    match Hashtbl.find_opt slot_of v with
-    | Some s -> s
-    | None ->
-        let s = !n_slots in
-        incr n_slots;
-        Hashtbl.add slot_of v s;
-        s
+    if slot_of.(v) < 0 then begin
+      slot_of.(v) <- !n_slots;
+      incr n_slots
+    end;
+    slot_of.(v)
   in
   let detach v p =
     residents.(p) <- List.filter (fun (v', _) -> v' <> v) residents.(p);
     used_mask.(p) <-
       List.fold_left (fun acc (_, m) -> acc lor m) 0 residents.(p);
-    Hashtbl.remove loc v;
-    Hashtbl.remove dirty v
+    loc.(v) <- Nowhere;
+    dirty.(v) <- false
   in
   let attach v p =
     let m = mask_of v in
     residents.(p) <- (v, m) :: residents.(p);
     used_mask.(p) <- used_mask.(p) lor m;
-    Hashtbl.replace loc v (`Reg p);
+    loc.(v) <- In_reg p;
     if p + 1 > !high then high := p + 1
   in
   (* Find a physical register able to host mask [m]: free space first,
      then evict the conflicting resident(s) with the furthest next use. *)
   let acquire ~pos ~pinned m =
-    let candidate = ref (-1) in
-    for p = 0 to n_phys - 1 do
-      if !candidate < 0 && used_mask.(p) land m = 0 then candidate := p
+    let free = ref 0 in
+    while !free < n_phys && used_mask.(!free) land m <> 0 do
+      incr free
     done;
-    match !candidate with
-    | p when p >= 0 -> p
+    match !free with
+    | p when p < n_phys -> p
     | _ ->
         (* Eviction: score each unpinned register by the *nearest* next use
            among residents conflicting with [m]; evict from the register
            whose nearest use is furthest away. *)
         let best_p = ref (-1) and best_score = ref (-1) in
         for p = 0 to n_phys - 1 do
-          if not (List.mem p pinned) then begin
+          if not (List.exists (Int.equal p) pinned) then begin
             let score =
               List.fold_left
                 (fun acc (v, vm) ->
@@ -1329,10 +1491,10 @@ let regalloc ~first_phys ~budget ~spill_mask (code : (int * vinstr) array) =
             if vm land m <> 0 then begin
               let nu = next_use v ~after:pos in
               if nu <> max_int then begin
-                if Option.value ~default:false (Hashtbl.find_opt dirty v) then
+                if dirty.(v) then
                   emit vm (R_spill_st (p + first_phys, get_slot v));
                 detach v p;
-                Hashtbl.replace loc v (`Spill (get_slot v))
+                loc.(v) <- Spilled (get_slot v)
               end
               else detach v p
             end)
@@ -1341,35 +1503,35 @@ let regalloc ~first_phys ~budget ~spill_mask (code : (int * vinstr) array) =
   in
   Array.iteri
     (fun pos (mask, ins) ->
-      let srcs = List.sort_uniq compare (instr_src_vregs ins) in
+      let srcs = List.sort_uniq Int.compare (instr_src_vregs ins) in
       let pinned = ref [] in
       List.iter
         (fun v ->
-          match Hashtbl.find_opt loc v with
-          | Some (`Reg p) -> pinned := p :: !pinned
-          | Some (`Spill s) ->
+          match loc.(v) with
+          | In_reg p -> pinned := p :: !pinned
+          | Spilled s ->
               let p = acquire ~pos ~pinned:!pinned (mask_of v) in
               emit (mask_of v) (R_spill_ld (p + first_phys, s));
               attach v p;
-              Hashtbl.replace dirty v false;
+              dirty.(v) <- false;
               pinned := p :: !pinned
-          | None ->
+          | Nowhere ->
               failwith
                 (Printf.sprintf "regalloc: vreg %d read before definition" v))
         srcs;
       let src_phys v =
-        match Hashtbl.find loc v with
-        | `Reg p -> p + first_phys
-        | `Spill _ -> assert false
+        match loc.(v) with
+        | In_reg p -> p + first_phys
+        | Spilled _ | Nowhere -> assert false
       in
       let resolved = List.map (fun v -> (v, src_phys v)) srcs in
       (* Retire dead sources so the destination may reuse their space. *)
       List.iter
         (fun (v, _) ->
           if next_use v ~after:(pos + 1) = max_int then
-            match Hashtbl.find_opt loc v with
-            | Some (`Reg p) -> detach v p
-            | Some (`Spill _) | None -> ())
+            match loc.(v) with
+            | In_reg p -> detach v p
+            | Spilled _ | Nowhere -> ())
         resolved;
       let lookup_phys v = List.assoc v resolved in
       match instr_dst ins with
@@ -1377,12 +1539,15 @@ let regalloc ~first_phys ~budget ~spill_mask (code : (int * vinstr) array) =
       | Some vd ->
           let still_pinned =
             List.filter_map
-              (fun (v, p) -> if Hashtbl.mem loc v then Some (p - first_phys) else None)
+              (fun (v, p) ->
+                match loc.(v) with
+                | Nowhere -> None
+                | In_reg _ | Spilled _ -> Some (p - first_phys))
               resolved
           in
           let p = acquire ~pos ~pinned:still_pinned (mask_of vd) in
           attach vd p;
-          Hashtbl.replace dirty vd true;
+          dirty.(vd) <- true;
           emit mask
             (R (rewrite_regs ins ~src_phys:lookup_phys
                   ~dst_phys:(fun _ -> p + first_phys)));
@@ -1513,7 +1678,7 @@ let assemble_blocks ~full_mask (code : (int * Isa.instr) list) =
 (* ---- bank materialization ---- *)
 
 let build_const_bank tables ~n_warps ~bank_cap =
-  let consts = Array.of_list (List.rev tables.consts) in
+  let consts = array_of_list ~seed:[||] (List.rev tables.consts) in
   let n = Array.length consts in
   let n_banked = min n bank_cap in
   let n_regs = (n_banked + 31) / 32 in
@@ -1534,7 +1699,7 @@ let build_const_bank tables ~n_warps ~bank_cap =
   (bank, n_regs, n_overflow, overflow_mem)
 
 let build_param_bank tables ~n_warps ~striped =
-  let params = Array.of_list (List.rev tables.params) in
+  let params = array_of_list ~seed:[||] (List.rev tables.params) in
   let n = Array.length params in
   if striped then begin
     let n_regs = (n + 31) / 32 in
@@ -1572,6 +1737,16 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let overflow_base = mirror_base + (4 * n_mapped) in
   let full_mask = (1 lsl n_mapped) - 1 in
   let tables = fresh_tables n_mapped in
+  (* Sub-stage wall times: [lap acc] charges the time since the previous
+     lap to [acc], so the stages tile the whole call. *)
+  let clock = ref (Pass.now_ns ()) in
+  let lap acc =
+    let t = Pass.now_ns () in
+    acc := !acc +. (t -. !clock);
+    clock := t
+  in
+  let overlay_ns = ref 0. and exchange_ns = ref 0. and list_schedule_ns = ref 0.
+  and regalloc_ns = ref 0. and finalize_ns = ref 0. in
   let lower_stream ~policy ~masks_full =
     (* Lower either the overlaid forest (masks_full = None) or a single
        warp's stream (Some w, naive mode). *)
@@ -1582,7 +1757,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         mapping;
         tables;
         groups;
-        vreg_of = Hashtbl.create 512;
+        vreg_of = Array.make (n_mapped * Array.length dfg.Dfg.values) (-1);
         next_vreg = 0;
         out_rev = [];
         full_mask;
@@ -1591,6 +1766,8 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         mirror_rot = 0;
         bank_cap;
         overflow_base;
+        op_shape = Array.make (Array.length dfg.Dfg.ops) (-1);
+        shape_ids = Hashtbl.create 64;
       }
     in
     (match masks_full with
@@ -1617,6 +1794,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let body, n_param_regs =
     if cfg.overlay then begin
       let stream = lower_stream ~policy:cfg.const_policy ~masks_full:None in
+      lap overlay_ns;
       let stream =
         (* The rewrite reasons per logical warp; skip when the emitted
            single-warp code is replicated across real warps (baseline),
@@ -1635,12 +1813,15 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         end
         else stream
       in
-      let vcode = Array.of_list (list_schedule stream) in
+      lap exchange_ns;
+      let vcode = stream_array (list_schedule stream) in
+      lap list_schedule_ns;
       let _, n_bank_regs, _, _ = build_const_bank tables ~n_warps:n_mapped ~bank_cap in
       let code, stats =
         regalloc ~first_phys:n_bank_regs ~budget:cfg.freg_budget
           ~spill_mask:full_mask vcode
       in
+      lap regalloc_ns;
       spill_stats := stats;
       striped := tables.n_params > cfg.param_stripe_threshold;
       let _, n_param_regs =
@@ -1656,17 +1837,19 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
          each warp's complete code inline and constants as immediates. *)
       let per_warp =
         Array.init n_mapped (fun w ->
-            let vcode =
-              Array.of_list
-                (list_schedule (lower_stream ~policy:Immediate ~masks_full:(Some w)))
-            in
+            let stream = lower_stream ~policy:Immediate ~masks_full:(Some w) in
+            lap overlay_ns;
+            let vcode = stream_array (list_schedule stream) in
+            lap list_schedule_ns;
             let code, stats =
               regalloc ~first_phys:0 ~budget:cfg.freg_budget
                 ~spill_mask:(1 lsl w) vcode
             in
+            lap regalloc_ns;
             spill_stats := max_stats !spill_stats stats;
             let env = { f_striped = false; f_param_regs = 0 } in
             let instrs = List.map snd (fst (finalize_stream env code)) in
+            lap finalize_ns;
             Isa.Instrs instrs)
       in
       (Isa.Switch_warp per_warp, 0)
@@ -1725,6 +1908,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
       exp_consts_in_registers = cfg.exp_consts_in_registers;
     }
   in
+  lap finalize_ns;
   {
     program;
     n_spill_slots = !spill_stats.spill_slots;
@@ -1733,6 +1917,14 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
     n_params = tables.n_params;
     n_logical_consts = tables.n_consts;
     exchange = !exch_report;
+    stage_ns =
+      {
+        overlay_ns = !overlay_ns;
+        exchange_ns = !exchange_ns;
+        list_schedule_ns = !list_schedule_ns;
+        regalloc_ns = !regalloc_ns;
+        finalize_ns = !finalize_ns;
+      };
   }
 
 let validate_output ~arch ?(max_barriers = 16) (out : output) =

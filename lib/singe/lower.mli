@@ -60,7 +60,18 @@ type output = {
   exchange : Shuffle_synth.report;
       (** what the [synth_exchange] rewrite did ({!Shuffle_synth.empty_report}
           when disabled or inapplicable) *)
+  stage_ns : stage_ns;  (** where the call's wall time went *)
 }
+
+and stage_ns = {
+  overlay_ns : float;  (** overlay traversal into the virtual stream *)
+  exchange_ns : float;  (** the [synth_exchange] rewrite (0 when off) *)
+  list_schedule_ns : float;
+  regalloc_ns : float;
+  finalize_ns : float;  (** ISA emission, banks and program assembly *)
+}
+(** Wall-clock ns per sub-stage of one {!lower} call. The stages tile the
+    call: their sum is its whole wall time. *)
 
 val derived_live_slack : freg_budget:int -> Dfg.t -> Mapping.t -> int
 (** The exchange rewrite's live-range pressure gate, in stream positions:

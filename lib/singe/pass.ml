@@ -8,6 +8,7 @@ type record = {
   runs : int;
   wall_ns : float;
   stats : stat list;
+  stages : (string * float) list;
   ok : bool;
 }
 
@@ -30,44 +31,65 @@ let now_ns () = Unix.gettimeofday () *. 1e9
 let create pipeline =
   { pipeline; started_ns = now_ns (); records_rev = []; warnings_rev = [] }
 
+(* Sum per-stage times by name, keeping first-seen order. *)
+let add_stages into more =
+  List.fold_left
+    (fun acc (name, ns) ->
+      if List.mem_assoc name acc then
+        List.map (fun (n, v) -> if n = name then (n, v +. ns) else (n, v)) acc
+      else acc @ [ (name, ns) ])
+    into more
+
 (* Merge a finished execution into the existing record of the same name, if
    any: the fitting loops rerun schedule/lower several times and should
    show up as one line with a run count, not one line per retry. *)
-let record t ~name ~kind ~wall_ns ~stats ~ok =
+let record t ~name ~kind ~wall_ns ~stats ~stages ~ok =
   let rec merge acc = function
     | [] ->
-        let r = { pass_name = name; kind; runs = 1; wall_ns; stats; ok } in
+        let r =
+          { pass_name = name; kind; runs = 1; wall_ns; stats; stages; ok }
+        in
         r :: List.rev acc
     | r :: rest when r.pass_name = name ->
         let r =
           { r with runs = r.runs + 1; wall_ns = r.wall_ns +. wall_ns; stats;
-            ok = r.ok && ok }
+            stages = add_stages r.stages stages; ok = r.ok && ok }
         in
         List.rev_append acc (r :: rest)
     | r :: rest -> merge (r :: acc) rest
   in
   t.records_rev <- merge [] t.records_rev
 
-let run t ~name ?(stats = fun _ -> []) f =
+let run t ~name ?(stats = fun _ -> []) ?(stages = fun _ -> []) f =
   let t0 = now_ns () in
   match f () with
   | v ->
       record t ~name ~kind:Transform ~wall_ns:(now_ns () -. t0)
-        ~stats:(stats v) ~ok:true;
+        ~stats:(stats v) ~stages:(stages v) ~ok:true;
       v
   | exception e ->
       record t ~name ~kind:Transform ~wall_ns:(now_ns () -. t0) ~stats:[]
-        ~ok:true;
+        ~stages:[] ~ok:true;
       raise e
+
+let split_off t ~from ~name ~wall_ns ~stats =
+  t.records_rev <-
+    List.map
+      (fun r ->
+        if r.pass_name = from then { r with wall_ns = r.wall_ns -. wall_ns }
+        else r)
+      t.records_rev;
+  record t ~name ~kind:Transform ~wall_ns ~stats ~stages:[] ~ok:true
 
 let validate t ~name f =
   let t0 = now_ns () in
   let result = f () in
   let wall_ns = now_ns () -. t0 in
   match result with
-  | Ok () -> record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:true
+  | Ok () ->
+      record t ~name ~kind:Validate ~wall_ns ~stats:[] ~stages:[] ~ok:true
   | Error problems ->
-      record t ~name ~kind:Validate ~wall_ns ~stats:[] ~ok:false;
+      record t ~name ~kind:Validate ~wall_ns ~stats:[] ~stages:[] ~ok:false;
       let n = List.length problems in
       let shown = List.filteri (fun i _ -> i < 4) problems in
       let suffix = if n > 4 then Printf.sprintf " (and %d more)" (n - 4) else "" in
@@ -105,7 +127,11 @@ let pp_report ppf (r : report) =
                       Printf.sprintf "%s=%.0f" k v
                     else Printf.sprintf "%s=%g" k v)
                   stats)));
-      Format.pp_print_cut ppf ())
+      Format.pp_print_cut ppf ();
+      List.iter
+        (fun (name, ns) ->
+          Format.fprintf ppf "  %-5s   %-16s %8.3f ms@," "" name (ns /. 1e6))
+        rec_.stages)
     r.records;
   List.iter
     (fun w -> Format.fprintf ppf "  %a@," Diagnostics.pp w)
@@ -138,7 +164,7 @@ let report_to_json (r : report) =
   let pass_json rec_ =
     Printf.sprintf
       "{\"name\": %s, \"kind\": %s, \"runs\": %d, \"wall_ms\": %s, \"ok\": \
-       %b, \"stats\": {%s}}"
+       %b, \"stats\": {%s}, \"stages\": {%s}}"
       (json_string rec_.pass_name)
       (json_string
          (match rec_.kind with Transform -> "transform" | Validate -> "validate"))
@@ -149,6 +175,11 @@ let report_to_json (r : report) =
          (List.map
             (fun (k, v) -> Printf.sprintf "%s: %s" (json_string k) (json_float v))
             rec_.stats))
+      (String.concat ", "
+         (List.map
+            (fun (k, ns) ->
+              Printf.sprintf "%s: %s" (json_string k) (json_float (ns /. 1e6)))
+            rec_.stages))
   in
   Printf.sprintf
     "{\"pipeline\": %s, \"total_ms\": %s, \"passes\": [%s], \"warnings\": \

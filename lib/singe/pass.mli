@@ -24,6 +24,10 @@ type record = {
   runs : int;  (** executions merged into this record *)
   wall_ns : float;  (** cumulative wall-clock time over all runs *)
   stats : stat list;  (** artifact statistics of the last run *)
+  stages : (string * float) list;
+      (** named sub-stages of the pass with their cumulative wall-clock
+          ns over all runs, in first-seen order; shown indented under the
+          pass. Empty for passes that do not report any. *)
   ok : bool;  (** false only for a validation pass that found problems *)
 }
 
@@ -40,10 +44,27 @@ type t
 val create : string -> t
 (** [create pipeline_name] starts the pipeline clock. *)
 
-val run : t -> name:string -> ?stats:('a -> stat list) -> (unit -> 'a) -> 'a
+val run :
+  t ->
+  name:string ->
+  ?stats:('a -> stat list) ->
+  ?stages:('a -> (string * float) list) ->
+  (unit -> 'a) ->
+  'a
 (** Execute a transform pass: time [f ()], record the artifact statistics
-    [stats] extracts from its result, and return the result. Exceptions
-    propagate untouched (after the timing is recorded). *)
+    [stats] extracts from its result and the sub-stage wall times (ns)
+    [stages] extracts, and return the result. Exceptions propagate
+    untouched (after the timing is recorded). *)
+
+val split_off :
+  t -> from:string -> name:string -> wall_ns:float -> stats:stat list -> unit
+(** [split_off t ~from ~name ~wall_ns ~stats] reports work timed inside
+    the last run of pass [from] as its own transform record [name]:
+    [wall_ns] moves out of [from]'s wall time into [name] (merged like any
+    repeat run), so the two rows stay disjoint. *)
+
+val now_ns : unit -> float
+(** The wall clock passes are timed with, in ns. *)
 
 val validate : t -> name:string -> (unit -> (unit, string list) result) -> unit
 (** Execute a validation pass. On [Error problems] the record is marked

@@ -60,20 +60,57 @@ let test_report_covers_pipeline () =
         report.Singe.Pass.records)
     all_kernels
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_report_json () =
   let _, report = compile Singe.Kernel_abi.Viscosity in
   let json = Singe.Pass.report_to_json report in
   Alcotest.(check bool) "object" true
     (String.length json > 2 && json.[0] = '{');
   List.iter
-    (fun needle ->
-      let contains hay needle =
-        let n = String.length needle and h = String.length hay in
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) needle true (contains json needle))
-    [ "\"passes\""; "\"dfg-build\""; "\"wall_ms\""; "\"stats\"" ]
+    (fun needle -> Alcotest.(check bool) needle true (contains json needle))
+    [ "\"passes\""; "\"dfg-build\""; "\"wall_ms\""; "\"stats\"";
+      "\"stages\": {\"overlay\"" ]
+
+(* Lower's sub-stages are nested under its row, and the exchange rewrite
+   that runs inside it is charged to the synth-exchange row instead: the
+   two rows are disjoint, so lower's own stages fit in what it keeps. *)
+let test_lower_substages () =
+  let c, report = compile Singe.Kernel_abi.Chemistry in
+  let find name =
+    List.find
+      (fun (r : Singe.Pass.record) -> r.Singe.Pass.pass_name = name)
+      report.Singe.Pass.records
+  in
+  let lower = find "lower" and exch = find "synth-exchange" in
+  Alcotest.(check (list string))
+    "lower's nested stages"
+    [ "overlay"; "list-schedule"; "regalloc"; "finalize" ]
+    (List.map fst lower.Singe.Pass.stages);
+  let staged =
+    List.fold_left (fun acc (_, ns) -> acc +. ns) 0. lower.Singe.Pass.stages
+  in
+  Alcotest.(check bool)
+    "stages fit in the lower row" true
+    (staged <= lower.Singe.Pass.wall_ns);
+  Alcotest.(check int)
+    "one exchange share per lower run" lower.Singe.Pass.runs
+    exch.Singe.Pass.runs;
+  let last_run = c.Singe.Compile.lowered.Singe.Lower.stage_ns in
+  Alcotest.(check bool)
+    "the exchange row carries the rewrite's time" true
+    (last_run.Singe.Lower.exchange_ns > 0.
+    && exch.Singe.Pass.wall_ns >= last_run.Singe.Lower.exchange_ns);
+  let text = Format.asprintf "@[<v>%a@]" Singe.Pass.pp_report report in
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool)
+        ("--timings nests " ^ stage) true
+        (contains text ("\n          " ^ stage ^ " ")))
+    [ "overlay"; "list-schedule"; "regalloc"; "finalize" ]
 
 (* ---- typed option diagnostics ---- *)
 
@@ -283,6 +320,8 @@ let tests =
     Alcotest.test_case "report covers the pipeline" `Quick
       test_report_covers_pipeline;
     Alcotest.test_case "report serializes to JSON" `Quick test_report_json;
+    Alcotest.test_case "lower sub-stages and a disjoint exchange row" `Quick
+      test_lower_substages;
     Alcotest.test_case "invalid options are typed errors" `Quick
       test_invalid_options_are_typed;
     Alcotest.test_case "mutation: dfg cycle" `Quick test_dfg_cycle_is_caught;
