@@ -125,7 +125,11 @@ let jobs_term =
 (* Pipeline-introspection flags shared by the compile and run commands. *)
 let timings_term =
   Arg.(value & flag & info [ "timings" ]
-       ~doc:"Print per-pass wall-clock timings and artifact statistics.")
+       ~doc:"Print per-pass wall-clock timings and artifact statistics. A \
+             row's run count counts executions: $(b,schedule) counts every \
+             iteration of the shared-memory fitting loop, $(b,lower) only \
+             the lowerings performed (an iteration that rebuilds an \
+             unchanged schedule reuses the previous lowering).")
 
 let validate_term =
   Arg.(value & flag & info [ "validate" ]

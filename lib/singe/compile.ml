@@ -188,6 +188,35 @@ let freg_budget options =
       in
       max 8 ((budget32 - 16) / 2)
 
+(* The one [Lower.config] per version: the warp-specialized path banks
+   constants over overlaid code, the naive one inlines them per warp, the
+   baseline reads them through the constant cache. *)
+let lower_config version options =
+  {
+    Lower.arch = options.arch;
+    overlay = version <> Naive_warp_specialized;
+    const_policy =
+      (match version with
+      | Warp_specialized -> Lower.Bank
+      | Naive_warp_specialized -> Lower.Immediate
+      | Baseline -> Lower.Const_mem);
+    exp_consts_in_registers = options.exp_consts_in_registers;
+    param_stripe_threshold = options.param_stripe_threshold;
+    freg_budget = freg_budget options;
+    synth_exchange = synth_exchange_enabled options;
+  }
+
+let map_warps kernel options dfg =
+  match options.partition with
+  | Partition_hand ->
+      Mapping.map dfg ~n_warps:options.n_warps ~weights:options.weights
+        ~strategy:
+          (Option.value options.strategy ~default:(default_strategy kernel))
+        ~respect_hints:options.respect_hints
+  | Partition_auto spec ->
+      Mapping.map_auto dfg ~n_warps:options.n_warps ~weights:options.weights
+        ~spec
+
 (* ---- artifact statistics attached to each pass record ---- *)
 
 let dfg_stats (dfg : Dfg.t) =
@@ -244,11 +273,7 @@ let lower_stages (l : Lower.output) =
 
 let run_pipeline pm ~validate mech kernel version options =
   let groups = Kernel_abi.groups mech kernel in
-  let strategy =
-    match options.strategy with
-    | Some s -> s
-    | None -> default_strategy kernel
-  in
+  let cfg = lower_config version options in
   match version with
   | Warp_specialized | Naive_warp_specialized ->
       (* Staging through shared memory wins on end-to-end throughput in
@@ -268,30 +293,11 @@ let run_pipeline pm ~validate mech kernel version options =
             Dfg.validate ~n_warps:options.n_warps dfg);
       let mapping =
         Pass.run pm ~name:"mapping" ~stats:(mapping_stats dfg) (fun () ->
-            match options.partition with
-            | Partition_hand ->
-                Mapping.map dfg ~n_warps:options.n_warps
-                  ~weights:options.weights ~strategy
-                  ~respect_hints:options.respect_hints
-            | Partition_auto spec ->
-                Mapping.map_auto dfg ~n_warps:options.n_warps
-                  ~weights:options.weights ~spec)
+            map_warps kernel options dfg)
       in
       if validate then
         Pass.validate pm ~name:"mapping-validate" (fun () ->
             Mapping.validate dfg mapping);
-      let cfg =
-        {
-          Lower.arch = options.arch;
-          overlay = (version = Warp_specialized);
-          const_policy =
-            (if version = Warp_specialized then Lower.Bank else Lower.Immediate);
-          exp_consts_in_registers = options.exp_consts_in_registers;
-          param_stripe_threshold = options.param_stripe_threshold;
-          freg_budget = freg_budget options;
-          synth_exchange = synth_exchange_enabled options;
-        }
-      in
       let name =
         Printf.sprintf "%s-%s-ws%d" mech.Chem.Mechanism.name
           (Kernel_abi.kernel_name kernel) options.n_warps
@@ -330,26 +336,35 @@ let run_pipeline pm ~validate mech kernel version options =
       (* Shared memory must leave room for the target CTAs per SM. If the
          store slots plus the buffer ring overshoot, rebuild the schedule
          with a smaller ring (more ring reuse costs barrier waits, not
-         correctness) before giving up. *)
+         correctness) before giving up. A rebuilt schedule equal to the
+         previous one (a mapping that never uses the ring) lowers to the
+         same program, so the previous lowering is reused. *)
       let shared_cap =
         options.arch.Gpusim.Arch.shared_bytes_per_sm
         / max 1 options.ctas_per_sm_target
       in
-      let rec fit_shared buffer_slots tries =
+      let rec fit_shared buffer_slots tries prev =
         let schedule =
           Pass.run pm ~name:"schedule" ~stats:schedule_stats (fun () ->
               Schedule.build ~buffer_slots ~group_syncs:options.group_syncs
                 ~max_barriers:options.max_barriers dfg mapping)
         in
-        let lowered = fit schedule cfg 3 in
+        let lowered =
+          match prev with
+          | Some (s, l) when s = schedule -> l
+          | Some _ | None -> fit schedule cfg 3
+        in
         let bytes = lowered.Lower.program.Gpusim.Isa.shared_doubles * 8 in
         if bytes <= shared_cap || tries = 0 || buffer_slots <= 8 then
           (schedule, lowered)
         else
           let overshoot_slots = ((bytes - shared_cap) + 255) / 256 in
-          fit_shared (max 8 (buffer_slots - overshoot_slots)) (tries - 1)
+          fit_shared
+            (max 8 (buffer_slots - overshoot_slots))
+            (tries - 1)
+            (Some (schedule, lowered))
       in
-      let schedule, lowered = fit_shared options.buffer_slots 3 in
+      let schedule, lowered = fit_shared options.buffer_slots 3 None in
       if validate then begin
         Pass.validate pm ~name:"schedule-validate" (fun () ->
             Schedule.validate ~max_barriers:options.max_barriers schedule dfg
@@ -392,17 +407,6 @@ let run_pipeline pm ~validate mech kernel version options =
         Pass.validate pm ~name:"deadlock-check" (fun () ->
             Deadlock_check.check schedule)
       end;
-      let cfg =
-        {
-          Lower.arch = options.arch;
-          overlay = true;
-          const_policy = Lower.Const_mem;
-          exp_consts_in_registers = options.exp_consts_in_registers;
-          param_stripe_threshold = options.param_stripe_threshold;
-          freg_budget = freg_budget options;
-          synth_exchange = synth_exchange_enabled options;
-        }
-      in
       let lowered =
         Pass.run pm ~name:"lower" ~stats:lower_stats ~stages:lower_stages
           (fun () ->

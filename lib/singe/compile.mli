@@ -5,7 +5,8 @@
     The driver is structured as an explicit pass pipeline run through
     {!Pass}: [dfg-build], [mapping], [schedule] and [lower] transform
     passes (the latter two may run several times inside the register- and
-    shared-memory fitting loops), interleaved with validation passes
+    shared-memory fitting loops; a shared-memory iteration that rebuilds
+    an unchanged schedule reuses the previous lowering), interleaved with validation passes
     ([dfg-validate], [mapping-validate], [schedule-validate],
     [deadlock-check], [lower-validate]) that re-check each stage's
     invariants on the artifact actually handed to the next stage
@@ -113,6 +114,14 @@ val default_strategy : Kernel_abi.kernel -> Mapping.strategy
     buffer; only the explicitly staged species vectors (Listing 4's
     [scratch]) live in shared memory (§4.1). Stencil kernels use Store:
     tile handoffs are static single-writer values read at known offsets. *)
+
+val lower_config : version -> options -> Lower.config
+(** The lowering configuration a compile of this version uses. *)
+
+val map_warps : Kernel_abi.kernel -> options -> Dfg.t -> Mapping.t
+(** The warp-specialized versions' [mapping] stage: the hand mapping
+    (with the kernel's default strategy unless [options] names one) or
+    the [Partition_auto] candidate's structure-derived mapping. *)
 
 type t = {
   mech : Chem.Mechanism.t;

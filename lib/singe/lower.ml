@@ -1719,6 +1719,53 @@ let build_param_bank tables ~n_warps ~striped =
     in
     (bank, n)
 
+(* ---- shared footprint ----
+
+   A CTA's shared memory is the store region, the transport ring and,
+   for banked constants on mirror-broadcast architectures, four rotating
+   broadcast slots per warp; the exchange rewrite then compacts store
+   slots that no access touches. *)
+
+let needs_mirror cfg =
+  cfg.const_policy = Bank
+  && cfg.arch.Gpusim.Arch.broadcast = Gpusim.Arch.Shared_mirror
+
+let mirror_doubles cfg ~n_warps = if needs_mirror cfg then 4 * n_warps else 0
+
+(* Whether lowering [op] emits a read of value [v]: a global store reads
+   its input, a computation only the inputs its expression mentions, a
+   fence nothing. *)
+let reads_value (op : Dfg.op) v =
+  match op.Dfg.kind with
+  | Dfg.Store _ -> Array.mem v op.Dfg.inputs
+  | Dfg.Compute e ->
+      Seq.exists
+        (fun (i, u) -> u = v && Sexpr.mentions_input e i)
+        (Array.to_seqi op.Dfg.inputs)
+  | Dfg.Load _ | Dfg.Fence -> false
+
+(* A store slot holding a value that an op on another warp reads survives
+   lowering: the exchange rewrite forwards only reads whose unique writer
+   is the reading warp itself, so the cross-warp read stays, and
+   compaction drops only slots nothing touches. *)
+let shared_floor_doubles cfg (dfg : Dfg.t) (m : Mapping.t) =
+  let kept = Array.make (max 1 m.Mapping.store_slots) false in
+  Array.iter
+    (fun (v : Dfg.value) ->
+      let slot = m.Mapping.shared_slot.(v.Dfg.vid) in
+      let p = m.Mapping.op_warp.(v.Dfg.producer) in
+      if
+        m.Mapping.value_place.(v.Dfg.vid) = Mapping.P_shared
+        && List.exists
+             (fun c ->
+               m.Mapping.op_warp.(c) <> p
+               && reads_value dfg.Dfg.ops.(c) v.Dfg.vid)
+             v.Dfg.consumers
+      then kept.(slot) <- true)
+    dfg.Dfg.values;
+  let n = Array.fold_left (fun n k -> if k then n + 1 else n) 0 kept in
+  (n * 32) + mirror_doubles cfg ~n_warps:m.Mapping.n_warps
+
 (* ---- entry point ---- *)
 
 let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
@@ -1726,10 +1773,6 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let n_mapped = mapping.Mapping.n_warps in
   let buffer_base = Schedule.shared_buffer_base mapping in
   let mirror_base = buffer_base + (sched.Schedule.buffer_slots * 32) in
-  let needs_mirror =
-    cfg.const_policy = Bank
-    && cfg.arch.Gpusim.Arch.broadcast = Gpusim.Arch.Shared_mirror
-  in
   (* A bit over half the register budget may hold banked constants; the
      rest overflow to shared memory (kept after the broadcast mirror). *)
   let bank_reg_cap = max 1 (cfg.freg_budget * 11 / 20) in
@@ -1876,7 +1919,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
   let n_iregs = n_param_regs + (if !striped then !param_temps else 0) in
   let shared_doubles =
     (mapping.Mapping.store_slots + sched.Schedule.buffer_slots) * 32
-    + (if needs_mirror then 4 * n_mapped else 0)
+    + mirror_doubles cfg ~n_warps:n_mapped
     - !freed_doubles
   in
   let const_mem =

@@ -84,6 +84,17 @@ val derived_live_slack : freg_budget:int -> Dfg.t -> Mapping.t -> int
     a window proportional to it. Replaces the fixed 200-position constant
     the gate shipped with. *)
 
+val shared_floor_doubles : config -> Dfg.t -> Mapping.t -> int
+(** A lower bound on the [shared_doubles] that {!lower} emits for this
+    mapping under [config], whatever the schedule: every store slot
+    holding a value that an op on another warp reads — a global store of
+    it, or a computation whose expression mentions it (the exchange
+    rewrite forwards only same-warp round trips, and compaction removes
+    only slots no access touches) — plus the broadcast mirror
+    when banked constants broadcast through shared memory. The partition
+    search uses it to reject a candidate that cannot fit an SM before
+    lowering it. *)
+
 val lower :
   config ->
   name:string ->

@@ -104,6 +104,56 @@ let candidate_options (base : Compile.options) (dfg : Dfg.t) =
         (depth_candidates base))
     (propose dfg ~n_warps:base.Compile.n_warps)
 
+(* ---- Phase A's funnel: map, floor-reject, deduplicate ----
+
+   Candidates differ only in [partition] and [buffer_slots], and neither
+   reaches the DFG, so each maps onto the hand compile's graph. Before any
+   lowering, a candidate whose shared-memory floor already exceeds the SM
+   is rejected with the occupancy record the model would raise on the
+   lowered program, and candidates that would compile to the same program
+   — equal mapping and equal effective ring depth — share one compile. *)
+
+type plan = Rejected of exn | Representative | Duplicate_of of int
+
+let plan ?jobs mech kernel version ~(hand : Compile.t) cands =
+  let dfg = hand.Compile.dfg in
+  let map_one options =
+    (match Compile.check_options mech kernel version options with
+    | Ok () -> ()
+    | Error d -> raise (Diagnostics.Fail d));
+    let mapping = Compile.map_warps kernel options dfg in
+    let arch = options.Compile.arch in
+    let floor =
+      Lower.shared_floor_doubles (Compile.lower_config version options) dfg
+        mapping
+    in
+    if floor * 8 > arch.Gpusim.Arch.shared_bytes_per_sm then
+      raise
+        (Gpusim.Chip.Occupancy_rejected
+           {
+             program = hand.Compile.lowered.Lower.program.Gpusim.Isa.name;
+             arch = arch.Gpusim.Arch.name;
+             kind = Does_not_fit { limited_by = "shared memory" };
+           });
+    (* Without ring traffic every depth builds the same schedule. *)
+    let depth =
+      if Schedule.uses_ring dfg mapping then options.Compile.buffer_slots
+      else 0
+    in
+    (mapping, depth)
+  in
+  let reps = Hashtbl.create 16 in
+  List.mapi
+    (fun i -> function
+      | Error e -> Rejected e
+      | Ok key -> (
+          match Hashtbl.find_opt reps key with
+          | Some j -> Duplicate_of j
+          | None ->
+              Hashtbl.add reps key i;
+              Representative))
+    (Sutil.Domain_pool.parallel_map_result ?jobs map_one cands)
+
 (* ---- the safety gate ---- *)
 
 let reject what msgs =
@@ -157,14 +207,35 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
     else begin
       let cands = candidate_options base hand.Compile.dfg in
       let indexed = List.mapi (fun i o -> (i, o)) cands in
-      (* Phase A — compile (through the shared memo) and score the whole
-         population analytically. *)
+      (* Phase A — plan the population, then compile (through the shared
+         memo) and score each representative analytically; a duplicate
+         takes its representative's compile and score. *)
+      let plans = Array.of_list (plan ?jobs mech kernel version ~hand cands) in
+      let reps =
+        List.filter
+          (fun (i, _) ->
+            match plans.(i) with Representative -> true | _ -> false)
+          indexed
+      in
       let score (_i, options) =
         let c = Compile.compile_cached mech kernel version options in
         let p = Perf_model.predict ?n_sms ?skew c ~total_points:points in
         (c, p)
       in
-      let scored = Sutil.Domain_pool.parallel_map_result ?jobs score indexed in
+      let rep_scores = Hashtbl.create 16 in
+      List.iter2
+        (fun (i, _) res -> Hashtbl.add rep_scores i res)
+        reps
+        (Sutil.Domain_pool.parallel_map_result ?jobs score reps);
+      let scored =
+        List.map
+          (fun (i, _) ->
+            match plans.(i) with
+            | Rejected e -> Error e
+            | Representative -> Hashtbl.find rep_scores i
+            | Duplicate_of j -> Hashtbl.find rep_scores j)
+          indexed
+      in
       let rejections = ref [] in
       let ok = ref [] in
       (* Folded in candidate-index order so rejections and ranking are

@@ -7,8 +7,11 @@
     transport ring's slot count). The search runs in three phases:
 
     {ol
-    {- {b score}: every candidate compiles through the shared memo and is
-       ranked by {!Perf_model.predict} — static, cheap, no simulation;}
+    {- {b score}: every candidate is mapped and {!plan}ned; those whose
+       shared-memory floor cannot fit the SM are rejected unlowered, and
+       one representative per distinct program compiles through the
+       shared memo. All are ranked by {!Perf_model.predict} — static,
+       cheap, no simulation;}
     {- {b gate}: the model's top picks pass {!Mapping.validate} and
        {!Deadlock_check.check}. The memoized compile path runs with
        validation off, so this gate is what keeps an unsound searched
@@ -55,6 +58,38 @@ val propose : ?max_candidates:int -> Dfg.t -> n_warps:int -> Mapping.auto_spec l
 val candidate_options : Compile.options -> Dfg.t -> Compile.options list
 (** {!propose} crossed with pipeline depths, as full option records (the
     exact population {!search} scores, in evaluation order). *)
+
+(** What the score phase does with one candidate, decided before any
+    of them is lowered. *)
+type plan =
+  | Rejected of exn
+      (** the exception the candidate's compile or score would raise:
+          rejected options, a failed mapping, or a shared-memory floor
+          ({!Lower.shared_floor_doubles}) above the SM's shared memory —
+          then it is the [Occupancy_rejected] record the model raises for
+          the lowered program (named after the hand program: every
+          candidate's program shares that name) *)
+  | Representative
+      (** the first candidate with its (mapping, effective ring depth):
+          compiled through the memo and scored *)
+  | Duplicate_of of int
+      (** compiles to the same program as this earlier representative,
+          whose compile and score it takes. The effective depth is 0 when
+          {!Schedule.uses_ring} is false: every depth then builds the
+          same schedule. *)
+
+val plan :
+  ?jobs:int ->
+  Chem.Mechanism.t ->
+  Kernel_abi.kernel ->
+  Compile.version ->
+  hand:Compile.t ->
+  Compile.options list ->
+  plan list
+(** Map every candidate onto the hand compile's DFG (in parallel,
+    results in candidate order) and plan it. The candidates must be
+    [hand]'s options with another [partition] and [buffer_slots], as
+    {!candidate_options} builds them. *)
 
 val gate : Compile.t -> (unit, Diagnostics.t) result
 (** The phase-2 safety gate: {!Mapping.validate} then

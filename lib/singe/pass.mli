@@ -11,7 +11,11 @@
     shared-memory fitting loops rebuild the schedule and re-lower): repeat
     runs accumulate into one record, keeping the run count, the cumulative
     wall time, and the {e last} run's artifact statistics — the artifact
-    that survives into the final {!Compile.t}. *)
+    that survives into the final {!Compile.t}. A record counts executions
+    of its pass, not iterations of the loop around it: the [lower] row's
+    [runs] is the number of lowerings performed, which is smaller than
+    the [schedule] row's when a shared-memory fitting iteration rebuilds
+    an unchanged schedule and reuses the previous lowering. *)
 
 type stat = string * float
 (** One artifact statistic, e.g. [("ops", 412.)] for a dataflow graph. *)

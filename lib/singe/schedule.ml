@@ -388,6 +388,20 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     n_sync_points = !n_syncs;
   }
 
+(* Exactly [build]'s allocation condition: a non-fence op reading a
+   register-placed value from another warp. *)
+let uses_ring (dfg : Dfg.t) (m : Mapping.t) =
+  let warp_of op_id = m.Mapping.op_warp.(op_id) in
+  Array.exists
+    (fun (op : Dfg.op) ->
+      op.Dfg.kind <> Dfg.Fence
+      && Array.exists
+           (fun v ->
+             m.Mapping.value_place.(v) = Mapping.P_reg
+             && warp_of dfg.Dfg.values.(v).Dfg.producer <> warp_of op.Dfg.id)
+           op.Dfg.inputs)
+    dfg.Dfg.ops
+
 let total_shared_doubles (m : Mapping.t) t =
   (m.Mapping.store_slots + t.buffer_slots) * 32
 

@@ -67,6 +67,12 @@ val build :
     Raises [Failure] if more than [max_barriers] sync points overlap one
     program point (not observed with grouping on). *)
 
+val uses_ring : Dfg.t -> Mapping.t -> bool
+(** Whether {!build} allocates any transport-ring slot for this mapping:
+    some non-fence op reads a register-placed value produced on another
+    warp. When it does not, [buffer_slots] never reaches the result, so
+    {!build} returns equal schedules for every ring size. *)
+
 val shared_buffer_base : Mapping.t -> int
 (** The buffer region starts right after the store region. *)
 

@@ -45,6 +45,15 @@ let rec n_inputs = function
   | Fma3 (a, b, c) -> max (n_inputs a) (max (n_inputs b) (n_inputs c))
   | Let (d, b) -> max (n_inputs d) (n_inputs b)
 
+let rec mentions_input e i =
+  match e with
+  | Imm _ | C _ | Var _ -> false
+  | In j -> i = j
+  | Un (_, a) -> mentions_input a i
+  | Bin (_, a, b) | Let (a, b) -> mentions_input a i || mentions_input b i
+  | Fma3 (a, b, c) ->
+      mentions_input a i || mentions_input b i || mentions_input c i
+
 let constants e =
   let acc = ref [] in
   let rec go = function

@@ -49,6 +49,10 @@ val dot : (float * t) list -> t
 val n_inputs : t -> int
 (** 1 + the largest input index mentioned (0 if none). *)
 
+val mentions_input : t -> int -> bool
+(** Whether [In i] occurs in the expression. An input the expression does
+    not mention is never read. *)
+
 val constants : t -> float list
 (** The [C] values in a canonical (left-to-right) traversal order — the
     order in which code generation assigns constant-array slots, identical

@@ -29,4 +29,5 @@ let () =
       ("serve", Test_serve.tests);
       ("stencil", Test_stencil.tests);
       ("lower-golden", Test_lower_golden.tests);
+      ("search-funnel", Test_search_funnel.tests);
     ]
