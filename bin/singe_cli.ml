@@ -473,6 +473,23 @@ let run_cmd =
           $ timings_term $ validate_term $ faults_term $ max_cycles_term
           $ sms_term $ skew_term)
 
+(* The reporter behind [profile --check] and [predict --check]: one line
+   per check; the command exits 1 after its last check if any failed. *)
+let failed_checks = ref false
+
+let check name ok detail =
+  if ok then Printf.printf "check %-28s ok\n" name
+  else begin
+    failed_checks := true;
+    Printf.printf "check %-28s FAILED%s\n" name
+      (if detail = "" then "" else ": " ^ detail)
+  end
+
+let check_parses name text =
+  match Sutil.Json.parse text with
+  | Ok _ -> check name true ""
+  | Error m -> check name false m
+
 let profile_cmd =
   let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
   let chrome =
@@ -558,22 +575,11 @@ let profile_cmd =
           file
     | None -> ());
     if check_it then begin
-      let failed = ref false in
-      let check name ok detail =
-        if ok then Printf.printf "check %-28s ok\n" name
-        else begin
-          failed := true;
-          Printf.printf "check %-28s FAILED%s\n" name
-            (if detail = "" then "" else ": " ^ detail)
-        end
-      in
       check "bucket conservation"
         (Gpusim.Profile.conservation_ok prof)
         (Printf.sprintf "residual %d warp-cycles"
            (Gpusim.Profile.conservation_residual prof));
-      (match Sutil.Json_check.validate trace_json with
-      | Ok () -> check "chrome-trace json" true ""
-      | Error m -> check "chrome-trace json" false m);
+      check_parses "chrome-trace json" trace_json;
       let monotone = ref true and last = ref min_int in
       Array.iter
         (fun (s : Gpusim.Profile.span) ->
@@ -596,7 +602,7 @@ let profile_cmd =
             sorted_ok := false)
         spans;
       check "trace timestamps monotone" !sorted_ok "";
-      if !failed then exit 1
+      if !failed_checks then exit 1
     end
   in
   Cmd.v
@@ -746,35 +752,37 @@ let predict_cmd =
         in
         Printf.printf "worst relative error: %.1f%%\n" (100.0 *. worst));
     let payload =
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\n  \"schema\": \"singe-predict-v1\",\n  \"mech\": \"%s\",\n  \
-            \"arch\": \"%s\",\n  \"points\": %d,\n  \"rows\": ["
-           mech.Chem.Mechanism.name arch.Gpusim.Arch.name points);
-      List.iteri
-        (fun i (kernel, version, (pred : Singe.Perf_model.prediction), r, err) ->
-          if i > 0 then Buffer.add_string b ",";
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n    {\"kernel\": \"%s\", \"version\": \"%s\", \"warps\": %d, \
-                \"predicted_cycles\": %.0f, \"measured_cycles\": %d, \
-                \"rel_err\": %.4f, \"floor_cycles\": %.0f, \
-                \"predicted_points_per_sec\": %.6g, \
-                \"measured_points_per_sec\": %.6g, \"binding\": \"%s\"}"
-               (Singe.Kernel_abi.kernel_name kernel)
-               (Singe.Compile.version_name version)
-               (options_of ?synth ~overlap arch warps kernel)
-                 .Singe.Compile.n_warps
-               pred.Singe.Perf_model.cycles
-               r.Singe.Compile.machine.Gpusim.Machine.sm_cycles err
-               pred.Singe.Perf_model.floor_cycles
-               pred.Singe.Perf_model.points_per_sec
-               r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
-               pred.Singe.Perf_model.binding))
-        rows;
-      Buffer.add_string b "\n  ]\n}\n";
-      Buffer.contents b
+      let module J = Sutil.Json in
+      let int v = J.Num (float_of_int v) in
+      let row (kernel, version, (pred : Singe.Perf_model.prediction), r, err) =
+        let m = r.Singe.Compile.machine in
+        J.Obj
+          [
+            ("kernel", J.Str (Singe.Kernel_abi.kernel_name kernel));
+            ("version", J.Str (Singe.Compile.version_name version));
+            ( "warps",
+              int (options_of ?synth ~overlap arch warps kernel).Singe.Compile.n_warps
+            );
+            ("predicted_cycles", J.Num pred.Singe.Perf_model.cycles);
+            ("measured_cycles", int m.Gpusim.Machine.sm_cycles);
+            ("rel_err", J.Num err);
+            ("floor_cycles", J.Num pred.Singe.Perf_model.floor_cycles);
+            ( "predicted_points_per_sec",
+              J.Num pred.Singe.Perf_model.points_per_sec );
+            ("measured_points_per_sec", J.Num m.Gpusim.Machine.points_per_sec);
+            ("binding", J.Str pred.Singe.Perf_model.binding);
+          ]
+      in
+      J.emit
+        (J.Obj
+           [
+             ("schema", J.Str "singe-predict-v1");
+             ("mech", J.Str mech.Chem.Mechanism.name);
+             ("arch", J.Str arch.Gpusim.Arch.name);
+             ("points", int points);
+             ("rows", J.List (List.map row rows));
+           ])
+      ^ "\n"
     in
     (match json with
     | Some "-" -> print_string payload
@@ -785,18 +793,7 @@ let predict_cmd =
         Printf.printf "prediction rows written to %s\n" file
     | None -> ());
     if check_it then begin
-      let failed = ref false in
-      let check name ok detail =
-        if ok then Printf.printf "check %-28s ok\n" name
-        else begin
-          failed := true;
-          Printf.printf "check %-28s FAILED%s\n" name
-            (if detail = "" then "" else ": " ^ detail)
-        end
-      in
-      (match Sutil.Json_check.validate payload with
-      | Ok () -> check "predict json" true ""
-      | Error m -> check "predict json" false m);
+      check_parses "predict json" payload;
       List.iter
         (fun (kernel, version, (pred : Singe.Perf_model.prediction), r, _) ->
           let measured =
@@ -810,7 +807,7 @@ let predict_cmd =
             (Printf.sprintf "simulated %.0f beats floor %.0f" measured
                pred.Singe.Perf_model.floor_cycles))
         rows;
-      if !failed then exit 1
+      if !failed_checks then exit 1
     end
   in
   Cmd.v

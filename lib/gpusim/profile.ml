@@ -173,6 +173,10 @@ let pp_bar_waits ppf t =
 
 (* ---- serialization ---- *)
 
+module J = Sutil.Json
+
+let int v = J.Num (float_of_int v)
+
 (* Chrome trace-event JSON ("X" complete events): one event per span,
    pid = CTA, tid = warp id within the CTA, ts/dur in simulated cycles.
    Events are sorted by start time so any consumer (and our own tests)
@@ -184,57 +188,67 @@ let to_chrome_trace t =
       if a.sp_start <> b.sp_start then compare a.sp_start b.sp_start
       else compare (a.sp_warp, a.sp_stop) (b.sp_warp, b.sp_stop))
     spans;
-  let buf = Buffer.create (256 + (Array.length spans * 96)) in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ns\", \"otherData\": {";
-  Printf.bprintf buf
-    "\"cycles\": %d, \"n_warps\": %d, \"dropped_spans\": %d}, " t.cycles
-    (n_warps t) t.timeline_dropped;
-  Buffer.add_string buf "\"traceEvents\": [";
-  Array.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ", ";
-      let cta, wid = t.warps.(s.sp_warp) in
-      Printf.bprintf buf
-        "{\"name\": \"%s\", \"cat\": \"warp\", \"ph\": \"X\", \"pid\": %d, \
-         \"tid\": %d, \"ts\": %d, \"dur\": %d, \"args\": {\"warp\": %d}}"
-        bucket_names.(s.sp_bucket) cta wid s.sp_start (s.sp_stop - s.sp_start)
-        s.sp_warp)
-    spans;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let event s =
+    let cta, wid = t.warps.(s.sp_warp) in
+    J.Obj
+      [
+        ("name", J.Str bucket_names.(s.sp_bucket));
+        ("cat", J.Str "warp");
+        ("ph", J.Str "X");
+        ("pid", int cta);
+        ("tid", int wid);
+        ("ts", int s.sp_start);
+        ("dur", int (s.sp_stop - s.sp_start));
+        ("args", J.Obj [ ("warp", int s.sp_warp) ]);
+      ]
+  in
+  J.emit
+    (J.Obj
+       [
+         ("displayTimeUnit", J.Str "ns");
+         ( "otherData",
+           J.Obj
+             [
+               ("cycles", int t.cycles);
+               ("n_warps", int (n_warps t));
+               ("dropped_spans", int t.timeline_dropped);
+             ] );
+         ("traceEvents", J.List (Array.to_list (Array.map event spans)));
+       ])
+  ^ "\n"
+
+(* One row of per-bucket warp-cycles, keyed by bucket name. *)
+let bucket_fields row =
+  Array.to_list (Array.mapi (fun i v -> (bucket_names.(i), int v)) row)
 
 (* The perf-snapshot payload: totals plus the full per-warp breakdown
    (timeline spans are deliberately excluded — they belong in the Chrome
    trace, not a perf time series). *)
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\"cycles\": %d, \"n_warps\": %d, \"conserved\": %b"
-    t.cycles (n_warps t) (conservation_ok t);
-  let tot = bucket_totals t in
-  Buffer.add_string buf ", \"totals\": {";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf "\"%s\": %d" bucket_names.(i) v)
-    tot;
-  Buffer.add_string buf "}, \"warps\": [";
-  Array.iteri
-    (fun w row ->
-      if w > 0 then Buffer.add_string buf ", ";
-      let cta, wid = t.warps.(w) in
-      Printf.bprintf buf "{\"cta\": %d, \"wid\": %d" cta wid;
-      Array.iteri
-        (fun i v -> Printf.bprintf buf ", \"%s\": %d" bucket_names.(i) v)
-        row;
-      Buffer.add_char buf '}')
-    t.buckets;
-  Buffer.add_string buf "], \"bar_waits\": [";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf
-        "{\"bar\": %d, \"count\": %d, \"total\": %d, \"max\": %d}" b.bw_bar
-        b.bw_count b.bw_total b.bw_max)
-    t.bar_waits;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("cycles", int t.cycles);
+      ("n_warps", int (n_warps t));
+      ("conserved", J.Bool (conservation_ok t));
+      ("totals", J.Obj (bucket_fields (bucket_totals t)));
+      ( "warps",
+        J.List
+          (Array.to_list
+             (Array.mapi
+                (fun w row ->
+                  let cta, wid = t.warps.(w) in
+                  J.Obj (("cta", int cta) :: ("wid", int wid) :: bucket_fields row))
+                t.buckets)) );
+      ( "bar_waits",
+        J.List
+          (List.map
+             (fun b ->
+               J.Obj
+                 [
+                   ("bar", int b.bw_bar);
+                   ("count", int b.bw_count);
+                   ("total", int b.bw_total);
+                   ("max", int b.bw_max);
+                 ])
+             t.bar_waits) );
+    ]

@@ -114,9 +114,11 @@ val pp_bar_waits : Format.formatter -> t -> unit
 val to_chrome_trace : t -> string
 (** Chrome trace-event JSON ("X" complete events): one event per span,
     pid = CTA, tid = warp id within the CTA, ts/dur in simulated cycles,
-    sorted by start time so consumers see monotone timestamps. *)
+    sorted by start time so consumers see monotone timestamps. The
+    document is built as a {!Sutil.Json.t} and printed by
+    {!Sutil.Json.emit}, followed by a newline. *)
 
-val to_json : t -> string
+val to_json : t -> Sutil.Json.t
 (** The perf-snapshot payload: totals plus the full per-warp breakdown
     (timeline spans are deliberately excluded — they belong in the
     Chrome trace, not a perf time series). *)

@@ -137,55 +137,31 @@ let pp_report ppf (r : report) =
     (fun w -> Format.fprintf ppf "  %a@," Diagnostics.pp w)
     r.warnings
 
-(* Hand-rolled JSON: the values are controlled identifiers and numbers, so
-   escaping only needs the JSON string specials. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let report_to_json (r : report) =
+  let module J = Sutil.Json in
+  let ms ns = J.Num (ns /. 1e6) in
   let pass_json rec_ =
-    Printf.sprintf
-      "{\"name\": %s, \"kind\": %s, \"runs\": %d, \"wall_ms\": %s, \"ok\": \
-       %b, \"stats\": {%s}, \"stages\": {%s}}"
-      (json_string rec_.pass_name)
-      (json_string
-         (match rec_.kind with Transform -> "transform" | Validate -> "validate"))
-      rec_.runs
-      (json_float (rec_.wall_ns /. 1e6))
-      rec_.ok
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s: %s" (json_string k) (json_float v))
-            rec_.stats))
-      (String.concat ", "
-         (List.map
-            (fun (k, ns) ->
-              Printf.sprintf "%s: %s" (json_string k) (json_float (ns /. 1e6)))
-            rec_.stages))
+    J.Obj
+      [
+        ("name", J.Str rec_.pass_name);
+        ( "kind",
+          J.Str
+            (match rec_.kind with
+            | Transform -> "transform"
+            | Validate -> "validate") );
+        ("runs", J.Num (float_of_int rec_.runs));
+        ("wall_ms", ms rec_.wall_ns);
+        ("ok", J.Bool rec_.ok);
+        ("stats", J.Obj (List.map (fun (k, v) -> (k, J.Num v)) rec_.stats));
+        ("stages", J.Obj (List.map (fun (k, ns) -> (k, ms ns)) rec_.stages));
+      ]
   in
-  Printf.sprintf
-    "{\"pipeline\": %s, \"total_ms\": %s, \"passes\": [%s], \"warnings\": \
-     [%s]}"
-    (json_string r.pipeline)
-    (json_float (r.total_ns /. 1e6))
-    (String.concat ", " (List.map pass_json r.records))
-    (String.concat ", "
-       (List.map (fun w -> json_string (Diagnostics.to_string w)) r.warnings))
+  J.Obj
+    [
+      ("pipeline", J.Str r.pipeline);
+      ("total_ms", ms r.total_ns);
+      ("passes", J.List (List.map pass_json r.records));
+      ( "warnings",
+        J.List
+          (List.map (fun w -> J.Str (Diagnostics.to_string w)) r.warnings) );
+    ]

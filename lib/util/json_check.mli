@@ -1,8 +1,8 @@
-(** Minimal JSON syntax validator for the repository's hand-built
-    emitters (no JSON library is vendored). Checks the full RFC 8259
-    grammar — strings with escapes, numbers, nesting, and that nothing
-    trails the document — without building any values. *)
+(** Deprecated alias of {!Json.parse} that discards the value.
+
+    Nothing in the library, the executables or the tests calls it; it
+    stays only because the separately built benchmark worker
+    ([perfbench/bench.ml]) still does. New code calls {!Json.parse}. *)
 
 val validate : string -> (unit, string) result
-(** [Ok ()] iff the whole string is exactly one valid JSON document;
-    [Error msg] pinpoints the first offending byte offset. *)
+(** [Ok ()] iff {!Json.parse} accepts the string. *)

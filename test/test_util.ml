@@ -1,5 +1,5 @@
-(* Utility-library tests: deterministic PRNG and small dense linear
-   algebra. *)
+(* Utility-library tests: deterministic PRNG, small dense linear
+   algebra and the JSON reader/writer. *)
 
 let test_prng_determinism () =
   let a = Sutil.Prng.create 42L and b = Sutil.Prng.create 42L in
@@ -74,6 +74,95 @@ let qcheck_solve =
              done;
              abs_float (!s -. b.(i)) < 1e-6)))
 
+module J = Sutil.Json
+
+(* JSON has no NaN or infinity: [emit] prints them as null. *)
+let rec finite = function
+  | J.Num v when not (Float.is_finite v) -> J.Null
+  | J.List l -> J.List (List.map finite l)
+  | J.Obj m -> J.Obj (List.map (fun (k, v) -> (k, finite v)) m)
+  | v -> v
+
+let json_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let num =
+    oneof
+      [
+        float;
+        map float_of_int int;
+        oneofl [ nan; infinity; neg_infinity; -0.; 0.1; 12345.7; 1e15; 5e-324 ];
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun v -> J.Num v) num;
+        map (fun s -> J.Str s) bytes;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun m -> J.Obj m)
+                   (list_size (int_bound 4) (pair bytes (self (n / 4)))) );
+             ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json parse (emit v) = v"
+    (QCheck.make ~print:J.emit json_gen)
+    (fun v -> J.parse (J.emit v) = Ok (finite v))
+
+let test_json_numbers () =
+  List.iter
+    (fun (v, text) -> Alcotest.(check string) text text (J.emit (J.Num v)))
+    [
+      (12345.7, "12345.7");
+      (0.1, "0.1");
+      (42., "42");
+      (-3., "-3");
+      (1. /. 3., "0.3333333333333333");
+      (nan, "null");
+      (infinity, "null");
+      (neg_infinity, "null");
+    ]
+
+(* Input from outside the program must meet RFC 8259: each malformed
+   document is rejected at the byte that breaks it. *)
+let test_json_rejects () =
+  List.iter
+    (fun (label, text, at) ->
+      match J.parse text with
+      | Ok _ -> Alcotest.failf "%s: accepted %S" label text
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s" label msg)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "byte %d: " at) msg))
+    [
+      ("trailing garbage", {|{"a":1} x|}, 8);
+      ("leading zero", "[01]", 2);
+      ("no digit after the point", "1.", 2);
+      ("bad escape", {|"\x"|}, 2);
+      ("unterminated string", {|"abc|}, 4);
+      ("raw control character", "\"a\nb\"", 2);
+      ("unpaired high surrogate", {|"\ud800"|}, 7);
+      ("unpaired low surrogate", {|"\udc00"|}, 7);
+      ("nesting over 512", String.make 600 '[', 513);
+    ];
+  let deepest = String.make 513 '[' ^ String.make 513 ']' in
+  Alcotest.(check bool) "nesting of 512 accepted" true
+    (Result.is_ok (J.parse deepest))
+
 let tests =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -84,4 +173,7 @@ let tests =
     Alcotest.test_case "solve singular" `Quick test_solve_singular;
     Alcotest.test_case "polyfit exact" `Quick test_polyfit_exact;
     QCheck_alcotest.to_alcotest qcheck_solve;
+    QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+    Alcotest.test_case "json number text" `Quick test_json_numbers;
+    Alcotest.test_case "json rejects malformed input" `Quick test_json_rejects;
   ]
