@@ -1,6 +1,6 @@
 .PHONY: all build test test-faults fmt fmt-check check perf perf-quick \
 	profile-smoke predict-smoke chip-smoke synth-smoke partition-smoke \
-	stencil-smoke serve-smoke serve-soak clean
+	stencil-smoke serve-smoke serve-soak env-lint clean
 
 all: build
 
@@ -24,7 +24,8 @@ fmt:
 fmt-check:
 	dune build @fmt
 
-# The full local gate: everything builds, formatting is clean, tests pass,
+# The full local gate: everything builds, formatting is clean, the
+# compiler reads no environment globals, tests pass,
 # the quick perf snapshot still runs end to end on two domains, the
 # profiler's CLI surface emits conserving buckets and trace JSON that parses,
 # the analytic performance model stays sound (floor <= simulator), and
@@ -34,8 +35,22 @@ fmt-check:
 # the stencil pipelines stay bit-exact against their host oracle in both
 # tiling modes, and the serve loop answers a hostile request mix with
 # typed responses.
-check: build fmt-check test perf-quick profile-smoke predict-smoke chip-smoke \
+check: build fmt-check env-lint test perf-quick profile-smoke predict-smoke chip-smoke \
 	synth-smoke partition-smoke stencil-smoke serve-smoke
+
+# No environment globals below the front ends: configuration reaches the
+# compiler as explicit arguments. The only environment reads allowed in
+# lib/ are the domain budget (SINGE_JOBS, lib/util/domain_pool.ml) and the
+# figures' fast mode (SINGE_FAST, lib/experiments/figures.ml).
+env-lint:
+	@hits=$$(grep -rnE --include='*.ml' '(Sys|Unix)\.getenv' lib \
+		| grep -v -e '^lib/util/domain_pool\.ml:' \
+			-e '^lib/experiments/figures\.ml:'); \
+	if [ -n "$$hits" ]; then \
+		echo "env-lint: environment read outside the allowed modules:"; \
+		echo "$$hits"; exit 1; \
+	fi; \
+	echo "env-lint ok"
 
 # Machine-readable performance snapshot (see bench/main.ml).
 perf:

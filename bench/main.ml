@@ -38,7 +38,12 @@ let microbenchmarks () =
   let open Bechamel in
   let mech = Chem.Mech_gen.dme () in
   let arch = Gpusim.Arch.kepler_k20c in
-  let opts = { (Singe.Compile.default_options arch) with Singe.Compile.n_warps = 6 } in
+  let opts =
+    Singe.Compile.kernel_options arch Singe.Kernel_abi.Viscosity ~n_warps:6
+  in
+  let chem_opts =
+    Singe.Compile.kernel_options arch Singe.Kernel_abi.Chemistry ~n_warps:4
+  in
   let grid = Chem.Grid.create mech ~points:32 ~seed:1L in
   let tests =
     [
@@ -72,9 +77,7 @@ let microbenchmarks () =
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"simulate-dme-chemistry-ws" (
         let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized
-                  { opts with Singe.Compile.n_warps = 4; max_barriers = 16;
-                    ctas_per_sm_target = 1 } in
+                  Singe.Compile.Warp_specialized chem_opts in
         Staged.stage (fun () ->
             ignore (Singe.Compile.run ~check:false c ~total_points:(13 * 3 * 32))));
       Test.make ~name:"isa-text-roundtrip" (
@@ -92,9 +95,7 @@ let microbenchmarks () =
         Staged.stage (fun () -> ignore (Singe.Cuda_emit.emit ~arch p)));
       Test.make ~name:"roofline-analysis" (
         let c = Singe.Compile.compile_cached mech Singe.Kernel_abi.Chemistry
-                  Singe.Compile.Warp_specialized
-                  { opts with Singe.Compile.n_warps = 4; max_barriers = 16;
-                    ctas_per_sm_target = 1 } in
+                  Singe.Compile.Warp_specialized chem_opts in
         let p = c.Singe.Compile.lowered.Singe.Lower.program in
         Staged.stage (fun () -> ignore (Gpusim.Roofline.analyze arch p)));
     ]
@@ -227,39 +228,21 @@ let smoke_payload fields = J.Obj (("schema", J.Str schema) :: fields)
 let perf_configs () =
   let mech = Chem.Mech_gen.dme () in
   let arch = Gpusim.Arch.kepler_k20c in
-  let kernels =
-    [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Conductivity;
-      Singe.Kernel_abi.Diffusion; Singe.Kernel_abi.Chemistry ]
-  in
+  (* The four combustion kernels on 8 warps, then the stencil workload
+     column (perf-v10): both bundled pipelines on 4. The mechanism is
+     carried for a stencil record's "mech" field only — stencil kernels
+     never read it. *)
   List.concat_map
-    (fun kernel ->
+    (fun (kernel, n_warps) ->
       List.map
         (fun version ->
-          let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 8;
-              max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-          in
-          (mech, kernel, version, options))
+          (mech, kernel, version,
+           Singe.Compile.kernel_options arch kernel ~n_warps))
         [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ])
-    kernels
-  @ (* The stencil workload column (perf-v10): both bundled pipelines,
-       warp-specialized and baseline. The mechanism is carried for the
-       record's "mech" field only — stencil kernels never read it. *)
-  List.concat_map
-    (fun id ->
-      List.map
-        (fun version ->
-          let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 4 }
-          in
-          (mech, Singe.Kernel_abi.Stencil id, version, options))
-        [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ])
-    [ Singe.Stencil_pipe.Edge3; Singe.Stencil_pipe.Unsharp2 ]
+    [ (Singe.Kernel_abi.Viscosity, 8); (Singe.Kernel_abi.Conductivity, 8);
+      (Singe.Kernel_abi.Diffusion, 8); (Singe.Kernel_abi.Chemistry, 8);
+      (Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3, 4);
+      (Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Unsharp2, 4) ]
 
 (* One perf config's outcome: a JSON entry, a compile-stage skip, or a
    contained simulation fault (watchdog / deadlock); the latter two are
@@ -658,11 +641,7 @@ let partition_smoke () =
   let mech = Chem.Mech_gen.hydrogen () in
   let arch = Gpusim.Arch.kepler_k20c in
   let base =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps = 8;
-      max_barriers = 8;
-      ctas_per_sm_target = 2
-    }
+    Singe.Compile.kernel_options arch Singe.Kernel_abi.Viscosity ~n_warps:8
   in
   let t0 = Unix.gettimeofday () in
   (match

@@ -43,12 +43,10 @@ let mech_term =
                 (Singe.Diagnostics.to_string
                    (Singe.Diagnostics.of_srcloc ~pass:"parse" e))))
     | None, None, None -> (
-        match String.lowercase_ascii name with
-        | "dme" -> Ok (Chem.Mech_gen.dme ())
-        | "heptane" -> Ok (Chem.Mech_gen.heptane ())
-        | "methane" -> Ok (Chem.Mech_gen.methane ())
-        | "hydrogen" -> Ok (Chem.Mech_gen.hydrogen ())
-        | other -> Error (`Msg ("unknown mechanism " ^ other)))
+        match Chem.Mech_gen.by_name name with
+        | Some m -> Ok m
+        | None ->
+            Error (`Msg ("unknown mechanism " ^ String.lowercase_ascii name)))
     | _ ->
         Error (`Msg "--chemkin, --thermo and --transport must be given together")
   in
@@ -56,14 +54,17 @@ let mech_term =
     Term.(const build $ mech_name $ file "chemkin" $ file "thermo"
           $ file "transport" $ file "sets")
 
-let kernel_term =
+let kernel_conv =
   let parse s =
     match Singe.Kernel_abi.kernel_of_string s with
     | Some k -> Ok k
     | None -> Error (`Msg ("unknown kernel " ^ s))
   in
   let printer ppf k = Format.pp_print_string ppf (Singe.Kernel_abi.kernel_name k) in
-  Arg.(value & opt (Arg.conv (parse, printer)) Singe.Kernel_abi.Viscosity
+  Arg.conv (parse, printer)
+
+let kernel_term =
+  Arg.(value & opt kernel_conv Singe.Kernel_abi.Viscosity
        & info [ "kernel" ] ~docv:"KERNEL"
            ~doc:"viscosity, conductivity, diffusion, chemistry, or a stencil \
                  pipeline: edge3, unsharp2.")
@@ -81,7 +82,7 @@ let arch_term =
 let warps_term =
   Arg.(value & opt int 8 & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
 
-let version_term =
+let version_conv =
   let parse s =
     match Singe.Compile.version_of_string s with
     | Some v -> Ok v
@@ -90,7 +91,10 @@ let version_term =
   let printer ppf v =
     Format.pp_print_string ppf (Singe.Compile.version_name v)
   in
-  Arg.(value & opt (Arg.conv (parse, printer)) Singe.Compile.Warp_specialized
+  Arg.conv (parse, printer)
+
+let version_term =
+  Arg.(value & opt version_conv Singe.Compile.Warp_specialized
        & info [ "version" ] ~docv:"V" ~doc:"ws, baseline or naive.")
 
 (* Domain budget for the parallel sweep commands (tune, figures). The
@@ -277,14 +281,6 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc:"Describe a mechanism.")
     Term.(const run $ mech_term)
 
-let options_of ?synth ?(overlap = true) arch warps kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps = warps;
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2);
-    synth_exchange = synth;
-    stencil_overlap = overlap }
-
 (* The tiling mode for stencil kernels; ignored by the combustion ones. *)
 let overlap_term =
   Arg.(value & opt bool true & info [ "stencil-overlap" ] ~docv:"BOOL"
@@ -331,18 +327,48 @@ let partition_term =
              A candidate that fails the gate is reported as \
              partition-rejected and never simulated.")
 
+(* The compile target the compiling commands share: mechanism, kernel,
+   architecture, warps, version and the option flags. [predict] takes an
+   optional kernel and version (a row filter), hence the parameters. A
+   command without one of the option flags passes its default as a
+   constant term instead. *)
+type ('kernel, 'version) target = {
+  mech : Chem.Mechanism.t;
+  kernel : 'kernel;
+  arch : Gpusim.Arch.t;
+  warps : int;
+  version : 'version;
+  synth : bool option;
+  overlap : bool;
+  partition : [ `Hand | `Auto ];
+}
+
+let target_term ?(synth = synth_term) ?(overlap = overlap_term)
+    ?(partition = partition_term) kernel version =
+  let make mech kernel arch warps version synth overlap partition =
+    { mech; kernel; arch; warps; version; synth; overlap; partition }
+  in
+  Term.(const make $ mech_term $ kernel $ arch_term $ warps_term $ version
+        $ synth $ overlap $ partition)
+
+let options_of t kernel =
+  { (Singe.Compile.kernel_options t.arch kernel ~n_warps:t.warps) with
+    Singe.Compile.synth_exchange = t.synth;
+    stencil_overlap = t.overlap }
+
 (* Resolve --partition for the one-configuration commands: model-only
    search, hand base retained when nothing beats it. A search failure is
    a compile rejection like any other (exit code 2). *)
-let resolve_partition partition mech kernel version options =
-  match partition with
+let resolve_partition t =
+  let options = options_of t t.kernel in
+  match t.partition with
   | `Hand -> options
   | `Auto -> (
       match
-        Singe.Partition_search.resolve_options mech kernel version
+        Singe.Partition_search.resolve_options t.mech t.kernel t.version
           ~base:options
       with
-      | resolved ->
+      | Ok resolved ->
           (match resolved.Singe.Compile.partition with
           | Singe.Compile.Partition_auto spec ->
               Format.printf "partition auto: %a (slots %d)@."
@@ -352,7 +378,7 @@ let resolve_partition partition mech kernel version options =
               print_endline
                 "partition auto: hand mapping retained (no candidate beat it)");
           resolved
-      | exception Singe.Diagnostics.Fail d ->
+      | Error d ->
           Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
           exit exit_compile_rejected)
 
@@ -362,14 +388,10 @@ let compile_cmd =
                  ~doc:"Write the program's textual assembly to FILE ('-' for stdout).") in
   let cuda = Arg.(value & opt (some string) None & info [ "emit-cuda" ] ~docv:"FILE"
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
-  let run mech kernel arch warps version synth overlap partition dump asm cuda
-      timings validate dump_ir_stage =
+  let run t dump asm cuda timings validate dump_ir_stage =
     catch_occupancy @@ fun () ->
-    let options =
-      resolve_partition partition mech kernel version
-        (options_of ?synth ~overlap arch warps kernel)
-    in
-    let c, report = compile_or_die ~validate mech kernel version options in
+    let options = resolve_partition t in
+    let c, report = compile_or_die ~validate t.mech t.kernel t.version options in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Printf.printf
       "%s: %d instrs, %d double regs/thread (%d of them constant bank), %d \
@@ -384,7 +406,7 @@ let compile_cmd =
       c.Singe.Compile.schedule.Singe.Schedule.barriers_used
       c.Singe.Compile.schedule.Singe.Schedule.n_sync_points
       c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread;
-    let occ = Gpusim.Machine.occupancy arch p in
+    let occ = Gpusim.Machine.occupancy t.arch p in
     Printf.printf "occupancy: %d CTAs/SM (limited by %s)\n"
       occ.Gpusim.Machine.resident_ctas occ.Gpusim.Machine.limited_by;
     if timings then print_report report;
@@ -401,29 +423,24 @@ let compile_cmd =
         Printf.printf "assembly written to %s\n" file
     | None -> ());
     match cuda with
-    | Some "-" -> print_string (Singe.Cuda_emit.emit ~arch p)
+    | Some "-" -> print_string (Singe.Cuda_emit.emit ~arch:t.arch p)
     | Some file ->
         let oc = open_out file in
-        output_string oc (Singe.Cuda_emit.emit ~arch p);
+        output_string oc (Singe.Cuda_emit.emit ~arch:t.arch p);
         close_out oc;
         Printf.printf "CUDA source written to %s\n" file
     | None -> ()
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a kernel and report its resources.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term $ dump
-          $ asm $ cuda $ timings_term $ validate_term $ dump_ir_term)
+    Term.(const run $ target_term kernel_term version_term $ dump $ asm
+          $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
   let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
-  let run mech kernel arch warps version synth overlap partition points timings
-      validate faults max_cycles n_sms skew =
+  let run t points timings validate faults max_cycles n_sms skew =
     catch_occupancy @@ fun () ->
-    let options =
-      resolve_partition partition mech kernel version
-        (options_of ?synth ~overlap arch warps kernel)
-    in
-    let c, report = compile_or_die ~validate mech kernel version options in
+    let options = resolve_partition t in
+    let c, report = compile_or_die ~validate t.mech t.kernel t.version options in
     let r =
       (* A contained simulation fault (injected or real) and a fault spec
          that matches nothing in the trace each get their own exit code,
@@ -444,8 +461,8 @@ let run_cmd =
     Printf.printf
       "%s on %s: %.4g points/s, %.1f GFLOPS, %.1f GB/s DRAM, worst rel. \
        error vs host reference %.2g\n"
-      (Singe.Kernel_abi.kernel_name kernel)
-      arch.Gpusim.Arch.name
+      (Singe.Kernel_abi.kernel_name t.kernel)
+      t.arch.Gpusim.Arch.name
       r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
       r.Singe.Compile.machine.Gpusim.Machine.gflops
       r.Singe.Compile.machine.Gpusim.Machine.dram_gbs
@@ -468,8 +485,7 @@ let run_cmd =
     if timings then print_report report
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify a kernel.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term $ points
+    Term.(const run $ target_term kernel_term version_term $ points
           $ timings_term $ validate_term $ faults_term $ max_cycles_term
           $ sms_term $ skew_term)
 
@@ -514,12 +530,11 @@ let profile_cmd =
                warps), Chrome-trace JSON well-formedness and timestamp \
                monotonicity. Exit nonzero on any failure.")
   in
-  let run mech kernel arch warps version overlap points chrome top timeline
-      check_it faults max_cycles n_sms skew =
+  let run t points chrome top timeline check_it faults max_cycles n_sms skew =
     catch_occupancy @@ fun () ->
     let c, _ =
-      compile_or_die ~validate:false mech kernel version
-        (options_of ~overlap arch warps kernel)
+      compile_or_die ~validate:false t.mech t.kernel t.version
+        (options_of t t.kernel)
     in
     let profile = { Gpusim.Sm.timeline_capacity = timeline } in
     let r =
@@ -609,36 +624,18 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Simulate a kernel with the per-warp cycle-attribution profiler \
              and print the stall breakdown.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ overlap_term $ points $ chrome $ top $ timeline
-          $ check_flag $ faults_term $ max_cycles_term $ sms_term $ skew_term)
+    Term.(const run
+          $ target_term ~synth:(Term.const None) ~partition:(Term.const `Hand)
+              kernel_term version_term
+          $ points $ chrome $ top $ timeline $ check_flag $ faults_term
+          $ max_cycles_term $ sms_term $ skew_term)
 
 let predict_cmd =
   let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
-  let kernel_conv =
-    let parse s =
-      match Singe.Kernel_abi.kernel_of_string s with
-      | Some k -> Ok k
-      | None -> Error (`Msg ("unknown kernel " ^ s))
-    in
-    Arg.conv
-      (parse, fun ppf k ->
-        Format.pp_print_string ppf (Singe.Kernel_abi.kernel_name k))
-  in
   let kernel_opt =
     Arg.(value & opt (some kernel_conv) None & info [ "kernel" ] ~docv:"KERNEL"
          ~doc:"Restrict to one kernel (default: viscosity, diffusion, \
                chemistry, edge3 and unsharp2).")
-  in
-  let version_conv =
-    let parse s =
-      match Singe.Compile.version_of_string s with
-      | Some v -> Ok v
-      | None -> Error (`Msg ("unknown version " ^ s))
-    in
-    Arg.conv
-      (parse, fun ppf v ->
-        Format.pp_print_string ppf (Singe.Compile.version_name v))
   in
   let version_opt =
     Arg.(value & opt (some version_conv) None & info [ "version" ] ~docv:"V"
@@ -655,11 +652,11 @@ let predict_cmd =
                simulator never beats the model's throughput floor. Exit \
                nonzero on any failure.")
   in
-  let run mech arch warps synth overlap partition points kernel_opt version_opt
-      json check_it n_sms skew =
+  let run t points json check_it n_sms skew =
     catch_occupancy @@ fun () ->
+    let mech = t.mech and warps = t.warps in
     let kernels =
-      match kernel_opt with
+      match t.kernel with
       | Some k -> [ k ]
       | None ->
           [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
@@ -668,7 +665,7 @@ let predict_cmd =
             Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Unsharp2 ]
     in
     let versions =
-      match version_opt with
+      match t.version with
       | Some v -> [ v ]
       | None -> [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ]
     in
@@ -693,15 +690,12 @@ let predict_cmd =
                  compile failure skips the row like any other, keeping
                  predict's best-effort table semantics. *)
               let resolved =
-                match partition with
-                | `Hand -> Ok (options_of ?synth ~overlap arch warps kernel)
-                | `Auto -> (
-                    try
-                      Ok
-                        (Singe.Partition_search.resolve_options mech kernel
-                           version
-                           ~base:(options_of ?synth ~overlap arch warps kernel))
-                    with Singe.Diagnostics.Fail d -> Error d)
+                let base = options_of t kernel in
+                match t.partition with
+                | `Hand -> Ok base
+                | `Auto ->
+                    Singe.Partition_search.resolve_options mech kernel version
+                      ~base
               in
               match
                 Result.bind resolved (fun options ->
@@ -760,9 +754,7 @@ let predict_cmd =
           [
             ("kernel", J.Str (Singe.Kernel_abi.kernel_name kernel));
             ("version", J.Str (Singe.Compile.version_name version));
-            ( "warps",
-              int (options_of ?synth ~overlap arch warps kernel).Singe.Compile.n_warps
-            );
+            ("warps", int warps);
             ("predicted_cycles", J.Num pred.Singe.Perf_model.cycles);
             ("measured_cycles", int m.Gpusim.Machine.sm_cycles);
             ("rel_err", J.Num err);
@@ -778,7 +770,7 @@ let predict_cmd =
            [
              ("schema", J.Str "singe-predict-v1");
              ("mech", J.Str mech.Chem.Mechanism.name);
-             ("arch", J.Str arch.Gpusim.Arch.name);
+             ("arch", J.Str t.arch.Gpusim.Arch.name);
              ("points", int points);
              ("rows", J.List (List.map row rows));
            ])
@@ -814,9 +806,8 @@ let predict_cmd =
     (Cmd.info "predict"
        ~doc:"Predict kernel cycles with the analytic performance model and \
              compare against the simulator.")
-    Term.(const run $ mech_term $ arch_term $ warps_term $ synth_term
-          $ overlap_term $ partition_term $ points $ kernel_opt $ version_opt
-          $ json $ check_flag $ sms_term $ skew_term)
+    Term.(const run $ target_term kernel_opt version_opt $ points $ json
+          $ check_flag $ sms_term $ skew_term)
 
 let tune_mode_term =
   let mode_conv =
@@ -844,19 +835,16 @@ let top_k_term =
                simulate.")
 
 let tune_cmd =
-  let run mech kernel arch warps version synth overlap partition max_cycles
-      tune_mode top_k n_sms skew () =
+  let run t max_cycles tune_mode top_k n_sms skew () =
     catch_occupancy @@ fun () ->
-    match partition with
+    match t.partition with
     | `Auto -> (
         (* Full three-phase partition search: model ranking, deadlock
            gate, then simulated confirmation through the autotuner with
            the hand mapping seeded into the grid. *)
         match
-          Singe.Partition_search.search ~top_k ?max_cycles ?n_sms ?skew mech
-            kernel version
-            ~base:(options_of ?synth ~overlap arch warps kernel)
-            ()
+          Singe.Partition_search.search ~top_k ?max_cycles ?n_sms ?skew t.mech
+            t.kernel t.version ~base:(options_of t t.kernel) ()
         with
         | Ok o ->
             Format.printf "%a@." Singe.Partition_search.pp_outcome o;
@@ -882,8 +870,8 @@ let tune_cmd =
     in
     let o =
       Singe.Autotune.tune ?max_cycles ~mode ?n_sms ?skew
-        ?synth_exchange:synth ~stencil_overlap:overlap mech kernel version
-        arch
+        ?synth_exchange:t.synth ~stencil_overlap:t.overlap t.mech t.kernel
+        t.version t.arch
     in
     Printf.printf "tried %d configurations (%d skipped, %d pruned by model)\n"
       o.Singe.Autotune.tried o.Singe.Autotune.skipped
@@ -910,26 +898,27 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Autotune a kernel configuration (brute-force, or pruned by the \
              analytic performance model).")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term $ synth_term $ overlap_term $ partition_term
-          $ max_cycles_term $ tune_mode_term $ top_k_term $ sms_term
-          $ skew_term $ jobs_term)
+    Term.(const run $ target_term kernel_term version_term $ max_cycles_term
+          $ tune_mode_term $ top_k_term $ sms_term $ skew_term $ jobs_term)
 
 let stats_cmd =
-  let run mech kernel arch warps version =
-    let c = Singe.Compile.compile mech kernel version (options_of arch warps kernel) in
+  let run t =
+    let c =
+      Singe.Compile.compile t.mech t.kernel t.version (options_of t t.kernel)
+    in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
-    Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
+    Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name t.arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp
-      (Gpusim.Isa_stats.of_program arch p)
+      (Gpusim.Isa_stats.of_program t.arch p)
       Gpusim.Roofline.pp
-      (Gpusim.Roofline.analyze arch p)
+      (Gpusim.Roofline.analyze t.arch p)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Static instruction mix, code footprint and roofline bounds.")
-    Term.(const run $ mech_term $ kernel_term $ arch_term $ warps_term
-          $ version_term)
+    Term.(const run
+          $ target_term ~synth:(Term.const None) ~overlap:(Term.const true)
+              ~partition:(Term.const `Hand) kernel_term version_term)
 
 let partition_cmd =
   (* Dumps the paper's partition diagrams: Fig. 5 (diffusion columns) and

@@ -30,8 +30,7 @@ let () =
     (Singe.Chemistry_dfg.n_qssa_warps ~n_warps ~n_qssa:(Array.length g.Chem.Qssa.nodes));
   let arch = Gpusim.Arch.kepler_k20c in
   let options =
-    { (Singe.Compile.default_options arch) with
-      Singe.Compile.n_warps; max_barriers = 16; ctas_per_sm_target = 1 }
+    Singe.Compile.kernel_options arch Singe.Kernel_abi.Chemistry ~n_warps
   in
   let c = Singe.Compile.compile mech Singe.Kernel_abi.Chemistry
       Singe.Compile.Warp_specialized options in

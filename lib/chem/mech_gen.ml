@@ -519,3 +519,11 @@ let hydrogen =
         ~qssa:[ "HCO"; "HO2" ]
         ~stiff:[ "H"; "OH"; "H2O2" ]
         ~n_reactions:20 ~seed:0x42L)
+
+let by_name name =
+  match String.lowercase_ascii name with
+  | "dme" -> Some (dme ())
+  | "heptane" -> Some (heptane ())
+  | "methane" -> Some (methane ())
+  | "hydrogen" -> Some (hydrogen ())
+  | _ -> None

@@ -36,6 +36,11 @@ val hydrogen : unit -> Mechanism.t
 (** A small handwritten H2/O2/CO system (13 species, ~20 reactions, 2 QSSA,
     3 stiff): fast enough for unit tests and the quickstart example. *)
 
+val by_name : string -> Mechanism.t option
+(** The bundled mechanism of this name ([dme], [heptane], [methane] or
+    [hydrogen], in any letter case), memoized like its constructor;
+    [None] for any other name. *)
+
 val generate :
   name:string ->
   species:(string * string) array ->

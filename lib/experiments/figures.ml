@@ -111,10 +111,8 @@ let fig10 () =
       (fun (mech, vis_warps) ->
         let regs kernel n_warps =
           let options =
-            { (Singe.Compile.default_options Gpusim.Arch.kepler_k20c) with
-              Singe.Compile.n_warps;
-              max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
+            Singe.Compile.kernel_options Gpusim.Arch.kepler_k20c kernel
+              ~n_warps
           in
           let c = Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized options in
           c.Singe.Compile.lowered.Singe.Lower.n_bank_regs
@@ -448,13 +446,7 @@ let model_accuracy () =
   let rows =
     Sutil.Domain_pool.parallel_map
       (fun (mech, kernel, version) ->
-        let options =
-          { (Singe.Compile.default_options arch) with
-            Singe.Compile.max_barriers =
-              (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-            ctas_per_sm_target =
-              (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-        in
+        let options = Singe.Compile.kernel_options arch kernel ~n_warps:8 in
         let c = Singe.Compile.compile_cached mech kernel version options in
         let pred = Singe.Perf_model.predict c ~total_points:points in
         let r = Singe.Compile.run c ~total_points:points in
@@ -518,12 +510,8 @@ let ablation_exchange () =
       (fun kernel ->
         let eval synth =
           let options =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2);
-              synth_exchange = Some synth }
+            { (Singe.Compile.kernel_options arch kernel ~n_warps:8) with
+              Singe.Compile.synth_exchange = Some synth }
           in
           let c =
             Singe.Compile.compile_cached mech kernel
@@ -616,14 +604,7 @@ let partition_search () =
     (fun mech ->
       List.iter
         (fun kernel ->
-          let base =
-            { (Singe.Compile.default_options arch) with
-              Singe.Compile.n_warps = 8;
-              max_barriers =
-                (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-              ctas_per_sm_target =
-                (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) }
-          in
+          let base = Singe.Compile.kernel_options arch kernel ~n_warps:8 in
           match
             Singe.Partition_search.search ~simulate mech kernel
               Singe.Compile.Warp_specialized ~base ()
@@ -696,7 +677,7 @@ let stencil_overlap () =
             Singe.Partition_search.resolve_options mech kernel
               Singe.Compile.Warp_specialized ~base
           with
-          | resolved ->
+          | Ok resolved ->
               let auto = cycles resolved in
               let gain = 100.0 *. (hand -. auto) /. Float.max 1.0 hand in
               Printf.printf "  %-10s %-14s %12.0f %12.0f %6.1f%%  %s\n"
@@ -707,7 +688,7 @@ let stencil_overlap () =
                 | Singe.Compile.Partition_auto spec ->
                     Format.asprintf "%a" Singe.Mapping.pp_auto_spec spec
                 | Singe.Compile.Partition_hand -> "hand mapping retained")
-          | exception Singe.Diagnostics.Fail d ->
+          | Error d ->
               Printf.printf "  %-10s %-14s %12.0f %12s  search rejected: %s\n"
                 (Singe.Stencil_pipe.id_name id)
                 (if overlap then "overlapped" else "non-overlapped")

@@ -71,6 +71,15 @@ let default_options arch =
     partition = Partition_hand;
   }
 
+let kernel_options arch kernel ~n_warps =
+  let chemistry = kernel = Kernel_abi.Chemistry in
+  {
+    (default_options arch) with
+    n_warps;
+    max_barriers = (if chemistry then 16 else 8);
+    ctas_per_sm_target = (if chemistry then 1 else 2);
+  }
+
 let default_strategy = function
   | Kernel_abi.Viscosity | Kernel_abi.Conductivity -> Mapping.Store
   | Kernel_abi.Diffusion -> Mapping.Mixed
@@ -204,6 +213,7 @@ let lower_config version options =
     param_stripe_threshold = options.param_stripe_threshold;
     freg_budget = freg_budget options;
     synth_exchange = synth_exchange_enabled options;
+    list_schedule = true;
   }
 
 let map_warps kernel options dfg =

@@ -98,6 +98,13 @@ type options = {
 
 val default_options : Gpusim.Arch.t -> options
 
+val kernel_options :
+  Gpusim.Arch.t -> Kernel_abi.kernel -> n_warps:int -> options
+(** {!default_options} with [n_warps] and the kernel's launch frame:
+    chemistry targets 1 CTA per SM and may use all 16 named barriers,
+    every other kernel targets 2 CTAs per SM with 8 barriers each (§4.1's
+    occupancy target, §4.2's 16 / target barrier budget). *)
+
 val check_options :
   Chem.Mechanism.t -> Kernel_abi.kernel -> version -> options ->
   (unit, Diagnostics.t) result
@@ -116,7 +123,8 @@ val default_strategy : Kernel_abi.kernel -> Mapping.strategy
     tile handoffs are static single-writer values read at known offsets. *)
 
 val lower_config : version -> options -> Lower.config
-(** The lowering configuration a compile of this version uses. *)
+(** The lowering configuration a compile of this version uses (always
+    list-scheduled). *)
 
 val map_warps : Kernel_abi.kernel -> options -> Dfg.t -> Mapping.t
 (** The warp-specialized versions' [mapping] stage: the hand mapping

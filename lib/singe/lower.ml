@@ -8,6 +8,7 @@ type config = {
   param_stripe_threshold : int;
   freg_budget : int;
   synth_exchange : bool;
+  list_schedule : bool;
 }
 
 type output = {
@@ -323,35 +324,6 @@ let action_key ctx warp (a : Schedule.action) =
   | Schedule.A_wait { bar; count } -> K_wait (bar, count)
   | Schedule.A_cta_barrier -> K_cta
 
-(* The key's text form, for [SINGE_DEBUG_OVERLAY] traces. *)
-let key_to_string ctx key =
-  let tag = function Some a -> a ^ "|" | None -> "" in
-  let src c = if c < 0 then "S" else Printf.sprintf "R%d" c in
-  let place = function
-    | None -> "-"
-    | Some Mapping.P_shared -> "S"
-    | Some Mapping.P_reg -> "R"
-  in
-  match key with
-  | K_fence -> "fence"
-  | K_load { tag = t; group; via_tex; out } ->
-      Printf.sprintf "%sld:%s:%b:%s" (tag t) group via_tex (place out)
-  | K_store { tag = t; group; src = c } ->
-      Printf.sprintf "%sst:%s:%s" (tag t) group (src c)
-  | K_compute { tag = t; shape; srcs; out } ->
-      let shape =
-        Hashtbl.fold (fun s id acc -> if id = shape then s else acc)
-          ctx.shape_ids ""
-      in
-      Printf.sprintf "%sc:%s:%s:%s" (tag t) shape
-        (String.concat "," (Array.to_list (Array.map src srcs)))
-        (place out)
-  | K_send c -> "snd:" ^ src c
-  | K_recv -> "rcv"
-  | K_arrive (bar, count) -> Printf.sprintf "ba:%d:%d" bar count
-  | K_wait (bar, count) -> Printf.sprintf "bw:%d:%d" bar count
-  | K_cta -> "cta"
-
 (* ---- constant materialization ---- *)
 
 (* Emit whatever is needed to use a bankable constant whose per-warp values
@@ -643,7 +615,6 @@ let is_sync_action = function
 
 let run_overlay ctx (sched : Schedule.t) =
   let n = ctx.mapping.Mapping.n_warps in
-  let debug = Sys.getenv_opt "SINGE_DEBUG_OVERLAY" <> None in
   let ptr = Array.make n 0 in
   let remaining w = ptr.(w) < Array.length sched.Schedule.per_warp.(w) in
   let next w = sched.Schedule.per_warp.(w).(ptr.(w)) in
@@ -713,27 +684,6 @@ let run_overlay ctx (sched : Schedule.t) =
       in
       let mask = List.fold_left (fun m w -> m lor (1 lsl w)) 0 ws in
       let actions = Array.of_list (List.map next ws) in
-      if debug then begin
-        let fronts =
-          String.concat " "
-            (List.map
-               (fun w ->
-                 if not (remaining w) then "-"
-                 else
-                   match next w with
-                   | Schedule.A_op o -> "o" ^ string_of_int o
-                   | Schedule.A_send _ -> "s"
-                   | Schedule.A_recv _ -> "r"
-                   | Schedule.A_arrive { bar; _ } -> "a" ^ string_of_int bar
-                   | Schedule.A_wait { bar; _ } -> "w" ^ string_of_int bar
-                   | Schedule.A_cta_barrier -> "C")
-               (List.init n Fun.id))
-        in
-        let key0 = key_to_string ctx key0 in
-        Printf.eprintf "group mask=%x key=%s fronts=[%s]\n" mask
-          (String.sub key0 0 (min 30 (String.length key0)))
-          fronts
-      end;
       lower_action_group ctx ~mask ~ws ~actions;
       List.iter advance ws
     end
@@ -1314,11 +1264,6 @@ let schedule_segment (seg : (int * vinstr) array) =
   end
 
 let list_schedule (code : (int * vinstr) list) =
-  (* An empty value means unset: drivers (and tests) can only clear an
-     environment variable by [putenv "" ], not remove it. *)
-  match Sys.getenv_opt "SINGE_NO_SCHED" with
-  | Some s when s <> "" -> code
-  | _ ->
   (* Split at mask changes and barrier fences; schedule each segment. *)
   let out = ref [] in
   let seg = ref [] in
@@ -1346,6 +1291,11 @@ let list_schedule (code : (int * vinstr) list) =
     code;
   if !seg <> [] then flush ();
   List.rev !out
+
+(* The unscheduled order is kept only as the list scheduler's test
+   reference ([config.list_schedule = false]). *)
+let schedule_if cfg code =
+  if cfg.list_schedule then list_schedule code else code
 
 type ra_stats = { high_water : int; spill_slots : int }
 
@@ -1857,7 +1807,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         else stream
       in
       lap exchange_ns;
-      let vcode = stream_array (list_schedule stream) in
+      let vcode = stream_array (schedule_if cfg stream) in
       lap list_schedule_ns;
       let _, n_bank_regs, _, _ = build_const_bank tables ~n_warps:n_mapped ~bank_cap in
       let code, stats =
@@ -1882,7 +1832,7 @@ let lower cfg ~name ~point_map ~out_warps ~groups (dfg : Dfg.t)
         Array.init n_mapped (fun w ->
             let stream = lower_stream ~policy:Immediate ~masks_full:(Some w) in
             lap overlay_ns;
-            let vcode = stream_array (list_schedule stream) in
+            let vcode = stream_array (schedule_if cfg stream) in
             lap list_schedule_ns;
             let code, stats =
               regalloc ~first_phys:0 ~budget:cfg.freg_budget

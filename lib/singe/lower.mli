@@ -48,6 +48,10 @@ type config = {
           deleted, and untouched store-region slots are compacted out of
           the shared footprint. Applies only to the overlay path whose
           emitted code is not replicated across warps. *)
+  list_schedule : bool;
+      (** reorder each straight-line segment with the latency-aware list
+          scheduler; [false] keeps the overlay's emission order and exists
+          only as the scheduler's test reference *)
 }
 
 type output = {

@@ -352,9 +352,8 @@ let search ?(points = 32768) ?jobs ?(top_k = default_top_k)
   | exception e -> Error (diag_of_exn e)
 
 let resolve_options ?points ?jobs mech kernel version ~base =
-  match search ?points ?jobs ~simulate:false mech kernel version ~base () with
-  | Ok o -> o.winner
-  | Error d -> raise (Diagnostics.Fail d)
+  search ?points ?jobs ~simulate:false mech kernel version ~base ()
+  |> Result.map (fun o -> o.winner)
 
 let pp_outcome ppf o =
   let verb = if o.confirmed then "simulated" else "predicted" in

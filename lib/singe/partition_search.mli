@@ -133,9 +133,9 @@ val resolve_options :
   Kernel_abi.kernel ->
   Compile.version ->
   base:Compile.options ->
-  Compile.options
+  (Compile.options, Diagnostics.t) result
 (** [--partition auto] resolution: model-only search, returning the
-    winning option record (the hand base when nothing beat it). Raises
-    {!Diagnostics.Fail} when even the hand base fails to compile. *)
+    winning option record (the hand base when nothing beat it), or the
+    diagnostic of a hand base that fails to compile. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

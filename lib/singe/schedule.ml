@@ -39,7 +39,6 @@ let shared_buffer_base (m : Mapping.t) = m.Mapping.store_slots * 32
 let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
     (dfg : Dfg.t) (m : Mapping.t) =
   assert (max_barriers >= 1 && max_barriers <= 16);
-  let debug_sync = Sys.getenv_opt "SINGE_DEBUG_SYNC" <> None in
   let order = Dfg.topo_order dfg in
   let n_ops = Array.length dfg.Dfg.ops in
   let step_of_op = Array.make n_ops 0 in
@@ -198,15 +197,6 @@ let build ?(buffer_slots = 16) ?(group_syncs = true) ?(max_barriers = 8)
          attaches after its boundary crossing instead of at a pre-wrap op,
          where its slot writes would race with the previous epoch. *)
       if producers <> [] then begin
-        if debug_sync then
-          Printf.eprintf "sync: consumer op %s (w%d, step %d) producers=[%s]\n"
-            op.Dfg.name c step
-            (String.concat ";"
-               (List.map
-                  (fun p ->
-                    Printf.sprintf "w%d@%d(%s)" p step_of_op.(last_op.(p))
-                      dfg.Dfg.ops.(last_op.(p)).Dfg.name)
-                  producers));
         let anchor_of p =
           if step_of_op.(last_op.(p)) >= !last_wrap then `Op last_op.(p)
           else `Boundary !last_wrap

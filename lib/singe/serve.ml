@@ -469,18 +469,10 @@ let error_response st id cls msg extra =
 
 exception Reply of error_class * string
 
-let mech_table : (string, Chem.Mechanism.t Lazy.t) Hashtbl.t =
-  let t = Hashtbl.create 4 in
-  Hashtbl.add t "dme" (lazy (Chem.Mech_gen.dme ()));
-  Hashtbl.add t "heptane" (lazy (Chem.Mech_gen.heptane ()));
-  Hashtbl.add t "methane" (lazy (Chem.Mech_gen.methane ()));
-  Hashtbl.add t "hydrogen" (lazy (Chem.Mech_gen.hydrogen ()));
-  t
-
 let resolve_target t =
   let mech =
-    match Hashtbl.find_opt mech_table (String.lowercase_ascii t.t_mech) with
-    | Some m -> Lazy.force m
+    match Chem.Mech_gen.by_name t.t_mech with
+    | Some m -> m
     | None ->
         raise
           (Reply
@@ -514,11 +506,8 @@ let resolve_target t =
   in
   let options =
     {
-      (Compile.default_options arch) with
-      Compile.n_warps = t.t_warps;
-      max_barriers = (if kernel = Kernel_abi.Chemistry then 16 else 8);
-      ctas_per_sm_target = (if kernel = Kernel_abi.Chemistry then 1 else 2);
-      synth_exchange = t.t_synth;
+      (Compile.kernel_options arch kernel ~n_warps:t.t_warps) with
+      Compile.synth_exchange = t.t_synth;
     }
   in
   let options =
@@ -531,16 +520,15 @@ let resolve_target t =
       match
         Partition_search.resolve_options mech kernel version ~base:options
       with
-      | o -> o
-      | exception Diagnostics.Fail d ->
-          raise (Reply (Rejected, Diagnostics.to_string d))
-      | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg))
+      | Ok o -> o
+      | Error d -> raise (Reply (Rejected, Diagnostics.to_string d))
   in
   (mech, kernel, arch, version, options)
 
 (* The baseline launches one thread per point; a non-divisible grid
-   would trip Compile.default_ctas' assertion mid-simulation. Reject it
-   as a configuration error up front, like the CLI's predict skip. *)
+   would fail Compile.default_ctas' [launch] diagnostic mid-simulation,
+   after the compile. Reject it as a configuration error up front, like
+   the CLI's predict skip. *)
 let check_divisibility t version =
   if version = Compile.Baseline && t.t_points mod (t.t_warps * 32) <> 0 then
     raise

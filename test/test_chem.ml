@@ -134,6 +134,26 @@ let test_mech_counts () =
   check (dme ()) (175, 39, 9, 22);
   check (heptane ()) (283, 68, 16, 27)
 
+let test_mech_by_name () =
+  List.iter
+    (fun (name, ctor) ->
+      List.iter
+        (fun spelling ->
+          match Chem.Mech_gen.by_name spelling with
+          | Some m ->
+              Alcotest.(check bool) (spelling ^ " is the memoized value") true
+                (m == ctor ());
+              Alcotest.(check string) "name" name m.Chem.Mechanism.name
+          | None -> Alcotest.failf "%s not found" spelling)
+        [ name; String.uppercase_ascii name; String.capitalize_ascii name ])
+    [ ("dme", dme); ("heptane", heptane); ("methane", Chem.Mech_gen.methane);
+      ("hydrogen", hydrogen) ];
+  List.iter
+    (fun spelling ->
+      Alcotest.(check bool) (spelling ^ " unknown") true
+        (Chem.Mech_gen.by_name spelling = None))
+    [ "nosuch"; ""; "dme "; "h2" ]
+
 let test_mech_validate () =
   List.iter
     (fun mech ->
@@ -319,4 +339,5 @@ let tests =
     Alcotest.test_case "reference kernels sane" `Quick test_ref_kernels_sane;
     Alcotest.test_case "grid fields" `Quick test_grid_normalized;
     QCheck_alcotest.to_alcotest qcheck_troe_positive;
+    Alcotest.test_case "bundled mechanism by name" `Quick test_mech_by_name;
   ]

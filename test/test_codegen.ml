@@ -36,27 +36,40 @@ let test_broadcast_styles_agree () =
     a
 
 let test_list_scheduler_preserves_values () =
-  (* The static scheduler only reorders independent instructions: results
-     are bit-identical with it disabled. *)
-  let out () =
-    let _, r =
-      run_with (hydrogen ()) Singe.Kernel_abi.Diffusion
-        Singe.Compile.Warp_specialized Gpusim.Arch.kepler_k20c
-        (fun o -> { o with Singe.Compile.n_warps = 4 })
-        (32 * 32)
-    in
-    r.Singe.Compile.outputs
+  (* The static scheduler only reorders independent instructions: the
+     artifact's own dfg/mapping/schedule lowered without it computes
+     bit-identical results. *)
+  let c, a =
+    run_with (hydrogen ()) Singe.Kernel_abi.Diffusion
+      Singe.Compile.Warp_specialized Gpusim.Arch.kepler_k20c
+      (fun o -> { o with Singe.Compile.n_warps = 4 })
+      (32 * 32)
   in
-  let a = out () in
-  Unix.putenv "SINGE_NO_SCHED" "1";
-  let b = (try out () with e -> Unix.putenv "SINGE_NO_SCHED" ""; raise e) in
-  Unix.putenv "SINGE_NO_SCHED" "";
+  let o = c.Singe.Compile.options in
+  let unscheduled =
+    Singe.Lower.lower
+      { (Singe.Compile.lower_config c.Singe.Compile.version o) with
+        Singe.Lower.list_schedule = false }
+      ~name:"unscheduled" ~point_map:Gpusim.Isa.Coop
+      ~out_warps:o.Singe.Compile.n_warps
+      ~groups:(Singe.Kernel_abi.groups c.Singe.Compile.mech c.Singe.Compile.kernel)
+      c.Singe.Compile.dfg c.Singe.Compile.mapping c.Singe.Compile.schedule
+  in
+  let body (l : Singe.Lower.output) = l.Singe.Lower.program.Gpusim.Isa.body in
+  Alcotest.(check bool) "the scheduler reordered something" true
+    (body unscheduled <> body c.Singe.Compile.lowered);
+  let b =
+    Singe.Compile.run { c with Singe.Compile.lowered = unscheduled }
+      ~total_points:(32 * 32)
+  in
   Array.iteri
     (fun f fa ->
       Array.iteri
-        (fun p v -> Alcotest.(check (float 0.0)) "bit-identical" v b.(f).(p))
+        (fun p v ->
+          Alcotest.(check (float 0.0)) "bit-identical" v
+            b.Singe.Compile.outputs.(f).(p))
         fa)
-    a
+    a.Singe.Compile.outputs
 
 let test_bank_overflow_correct () =
   (* A tiny register budget forces constants into warp-strided constant
@@ -204,9 +217,8 @@ let test_dme_end_to_end_slow () =
           let _, r =
             run_with (dme ()) kernel version Gpusim.Arch.kepler_k20c
               (fun o ->
-                { o with Singe.Compile.n_warps = nw;
-                  max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-                  ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2) })
+                Singe.Compile.kernel_options o.Singe.Compile.arch kernel
+                  ~n_warps:nw)
               32768
           in
           Alcotest.(check bool) "correct" true (r.Singe.Compile.max_rel_err < 1e-8))

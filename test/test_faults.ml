@@ -9,12 +9,8 @@ let heptane = lazy (Chem.Mech_gen.heptane ())
 let arch = Gpusim.Arch.kepler_k20c
 
 let options_for kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps =
-      (if kernel = Singe.Kernel_abi.Chemistry then 4 else 6);
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2)
-  }
+  Singe.Compile.kernel_options arch kernel
+    ~n_warps:(if kernel = Singe.Kernel_abi.Chemistry then 4 else 6)
 
 let compiled mech kernel =
   Singe.Compile.compile_cached mech kernel Singe.Compile.Warp_specialized

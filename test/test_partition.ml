@@ -10,12 +10,7 @@
 let hydrogen = lazy (Chem.Mech_gen.hydrogen ())
 let arch = Gpusim.Arch.kepler_k20c
 
-let base_options kernel =
-  { (Singe.Compile.default_options arch) with
-    Singe.Compile.n_warps = 8;
-    max_barriers = (if kernel = Singe.Kernel_abi.Chemistry then 16 else 8);
-    ctas_per_sm_target = (if kernel = Singe.Kernel_abi.Chemistry then 1 else 2)
-  }
+let base_options kernel = Singe.Compile.kernel_options arch kernel ~n_warps:8
 
 let compiled kernel =
   Singe.Compile.compile_cached (Lazy.force hydrogen) kernel
@@ -302,6 +297,41 @@ let test_striped_param_temps_accounted () =
     (Float.is_finite pred.Singe.Perf_model.cycles
     && pred.Singe.Perf_model.cycles > 0.0)
 
+(* [--partition auto] resolution returns the hand base's compile failure
+   as a diagnostic naming its pass, and serve answers the same target as
+   a compile rejection carrying that diagnostic. *)
+let test_resolve_options_diagnoses_failing_base () =
+  let mech = Lazy.force hydrogen in
+  let base =
+    Singe.Compile.kernel_options arch Singe.Kernel_abi.Viscosity ~n_warps:64
+  in
+  let d =
+    match
+      Singe.Partition_search.resolve_options mech Singe.Kernel_abi.Viscosity
+        Singe.Compile.Warp_specialized ~base
+    with
+    | Ok _ -> Alcotest.fail "resolved 64 warps on Kepler"
+    | Error d -> d
+  in
+  Alcotest.(check (option string)) "pass" (Some "options") d.Singe.Diagnostics.pass;
+  Alcotest.(check bool) "names the warp count" true
+    (String.starts_with ~prefix:"64 warps" d.Singe.Diagnostics.message);
+  let st = Singe.Serve.create () in
+  let resp, _ =
+    Singe.Serve.handle_line st
+      {|{"kind":"compile","mech":"hydrogen","kernel":"viscosity","warps":64,"partition":"auto"}|}
+  in
+  let field k =
+    match Sutil.Json.parse resp with
+    | Ok doc -> Option.bind (Sutil.Json.member k doc) Sutil.Json.str
+    | Error m -> Alcotest.failf "serve response not parseable: %s" m
+  in
+  Alcotest.(check (option string)) "class" (Some "compile-rejected")
+    (field "class");
+  Alcotest.(check (option string)) "message"
+    (Some (Singe.Diagnostics.to_string d))
+    (field "message")
+
 let tests =
   [
     Alcotest.test_case "degenerate warp count diagnosed" `Quick
@@ -322,4 +352,6 @@ let tests =
       test_derived_live_slack_tracks_budget;
     Alcotest.test_case "striped param temps accounted" `Quick
       test_striped_param_temps_accounted;
+    Alcotest.test_case "resolve_options diagnoses a failing base" `Quick
+      test_resolve_options_diagnoses_failing_base;
   ]

@@ -7,13 +7,8 @@ let dme = Chem.Mech_gen.dme
 let arch = Gpusim.Arch.kepler_k20c
 
 let compile mech kernel version =
-  let o = Singe.Compile.default_options arch in
-  let o =
-    if kernel = Singe.Kernel_abi.Chemistry then
-      { o with Singe.Compile.max_barriers = 16; ctas_per_sm_target = 1 }
-    else o
-  in
-  Singe.Compile.compile_cached mech kernel version o
+  Singe.Compile.compile_cached mech kernel version
+    (Singe.Compile.kernel_options arch kernel ~n_warps:8)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -192,6 +187,7 @@ let test_lower_unproduced_value () =
       param_stripe_threshold = 8;
       freg_budget = 60;
       synth_exchange = false;
+      list_schedule = true;
     }
   in
   let groups = Singe.Kernel_abi.groups mech Singe.Kernel_abi.Viscosity in
