@@ -11,29 +11,6 @@
    `--jobs N` (or SINGE_JOBS) bounds the domains used for the sweep
    fan-out; simulated results are identical at every job count. *)
 
-let figures =
-  [
-    ("fig3", Experiments.Figures.fig3);
-    ("fig9", Experiments.Figures.fig9);
-    ("fig10", Experiments.Figures.fig10);
-    ("fig11", Experiments.Figures.fig11);
-    ("fig12", Experiments.Figures.fig12);
-    ("fig13", Experiments.Figures.fig13);
-    ("fig14", Experiments.Figures.fig14);
-    ("fig15", Experiments.Figures.fig15);
-    ("fig16", Experiments.Figures.fig16);
-    ("stall-breakdown", Experiments.Figures.stall_breakdown);
-    ("ablation-barriers", Experiments.Figures.ablation_barriers);
-    ("ablation-exp-constants", Experiments.Figures.ablation_exp_constants);
-    ("ablation-chem-comm", Experiments.Figures.ablation_chem_comm);
-    ("ablation-weights", Experiments.Figures.ablation_weights);
-    ("ablation-batches", Experiments.Figures.ablation_batches);
-    ("ablation-exchange", Experiments.Figures.ablation_exchange);
-    ("model-accuracy", Experiments.Figures.model_accuracy);
-    ("chip-scaling", Experiments.Figures.chip_scaling);
-    ("partition-search", Experiments.Figures.partition_search);
-  ]
-
 let microbenchmarks () =
   let open Bechamel in
   let mech = Chem.Mech_gen.dme () in
@@ -1088,44 +1065,34 @@ let serve_soak () =
   Printf.printf "serve soak: %d requests answered by one process\n"
     (List.length reqs)
 
-(* Strip a leading-anywhere [--jobs N] pair from the argument list and
-   install it as the process-wide domain budget before any figure runs. *)
-let rec extract_jobs = function
-  | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some jobs ->
-          Sutil.Domain_pool.set_jobs jobs;
-          extract_jobs rest
-      | None ->
-          prerr_endline "bench: --jobs expects an integer";
+(* Strip every [flag VALUE] pair from the argument list, handing VALUE to
+   [set]; a value [set] rejects, or a missing one, exits 2. *)
+let rec extract flag set = function
+  | f :: v :: rest when f = flag -> (
+      match set v with
+      | Ok () -> extract flag set rest
+      | Error msg ->
+          Printf.eprintf "bench: %s: %s\n" flag msg;
           exit 2)
-  | [ "--jobs" ] ->
-      prerr_endline "bench: --jobs expects an integer";
+  | [ f ] when f = flag ->
+      Printf.eprintf "bench: %s expects a value\n" flag;
       exit 2
-  | arg :: rest -> arg :: extract_jobs rest
+  | arg :: rest -> arg :: extract flag set rest
   | [] -> []
 
-(* Same for [--max-cycles N]: the perf watchdog budget. *)
+(* The perf watchdog budget ([--max-cycles N]). *)
 let perf_max_cycles = ref None
-
-let rec extract_max_cycles = function
-  | "--max-cycles" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some c when c > 0 ->
-          perf_max_cycles := Some c;
-          extract_max_cycles rest
-      | Some _ | None ->
-          prerr_endline "bench: --max-cycles expects a positive integer";
-          exit 2)
-  | [ "--max-cycles" ] ->
-      prerr_endline "bench: --max-cycles expects a positive integer";
-      exit 2
-  | arg :: rest -> arg :: extract_max_cycles rest
-  | [] -> []
 
 let () =
   let args =
-    Array.to_list Sys.argv |> List.tl |> extract_jobs |> extract_max_cycles
+    Array.to_list Sys.argv |> List.tl
+    |> extract "--jobs" (fun v ->
+           Result.map Sutil.Domain_pool.set_jobs
+             (Sutil.Domain_pool.jobs_of_string v))
+    |> extract "--max-cycles" (fun v ->
+           match int_of_string_opt v with
+           | Some c when c > 0 -> Ok (perf_max_cycles := Some c)
+           | _ -> Error "expects a positive integer")
   in
   (match args with
   | [] | [ "all" ] -> Experiments.Figures.all ()
@@ -1142,11 +1109,11 @@ let () =
   | names ->
       List.iter
         (fun name ->
-          match List.assoc_opt name figures with
+          match List.assoc_opt name Experiments.Figures.table with
           | Some f -> f ()
           | None ->
               Printf.eprintf "unknown figure %S; available: %s\n" name
-                (String.concat ", " (List.map fst figures));
+                (String.concat ", " (List.map fst Experiments.Figures.table));
               exit 1)
         names);
   if args = [] || args = [ "all" ] then microbenchmarks ()

@@ -21,102 +21,60 @@ open Cmdliner
 let exit_compile_rejected = 2
 let exit_simulation_fault = 3
 
-let mech_term =
-  let mech_name =
-    Arg.(value & opt string "dme" & info [ "mech" ] ~docv:"NAME"
-           ~doc:"Bundled mechanism: dme, heptane, methane or hydrogen.")
-  in
+(* CHEMKIN inputs replacing the bundled --mech mechanism: all three
+   files or none. CLI-only, since file paths are not a wire field. *)
+let chemkin_term =
   let file kind =
     Arg.(value & opt (some file) None & info [ kind ] ~docv:"FILE")
   in
-  let build name chemkin thermo transport sets =
+  let load chemkin thermo transport sets =
     match (chemkin, thermo, transport) with
     | Some c, Some th, Some tr -> (
         match
           Chem.Mech_io.load_files ?species_sets_path:sets ~chemkin_path:c
             ~thermo_path:th ~transport_path:tr ~name:"user" ()
         with
-        | Ok m -> Ok m
+        | Ok m -> Ok (Some m)
         | Error e ->
             Error
               (`Msg
                 (Singe.Diagnostics.to_string
                    (Singe.Diagnostics.of_srcloc ~pass:"parse" e))))
-    | None, None, None -> (
-        match Chem.Mech_gen.by_name name with
-        | Some m -> Ok m
-        | None ->
-            Error (`Msg ("unknown mechanism " ^ String.lowercase_ascii name)))
+    | None, None, None -> Ok None
     | _ ->
         Error (`Msg "--chemkin, --thermo and --transport must be given together")
   in
   Term.term_result
-    Term.(const build $ mech_name $ file "chemkin" $ file "thermo"
-          $ file "transport" $ file "sets")
+    Term.(const load $ file "chemkin" $ file "thermo" $ file "transport"
+          $ file "sets")
 
-let kernel_conv =
-  let parse s =
-    match Singe.Kernel_abi.kernel_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg ("unknown kernel " ^ s))
+(* The mechanism alone, for the commands that compile nothing. *)
+let mech_term =
+  let pick name = function
+    | Some m -> m
+    (* --mech's parser already rejected unknown names *)
+    | None -> Option.get (Chem.Mech_gen.by_name name)
   in
-  let printer ppf k = Format.pp_print_string ppf (Singe.Kernel_abi.kernel_name k) in
-  Arg.conv (parse, printer)
+  Term.(const pick $ Singe.Target.arg Singe.Target.mech $ chemkin_term)
 
-let kernel_term =
-  Arg.(value & opt kernel_conv Singe.Kernel_abi.Viscosity
-       & info [ "kernel" ] ~docv:"KERNEL"
-           ~doc:"viscosity, conductivity, diffusion, chemistry, or a stencil \
-                 pipeline: edge3, unsharp2.")
+(* A target term with the CHEMKIN override. *)
+let with_chemkin target =
+  Term.(const (fun t mech -> (t, mech)) $ target $ chemkin_term)
 
-let arch_term =
-  let parse s =
-    match Gpusim.Arch.by_name s with
-    | Some a -> Ok a
-    | None -> Error (`Msg ("unknown architecture " ^ s))
-  in
-  let printer ppf (a : Gpusim.Arch.t) = Format.pp_print_string ppf a.Gpusim.Arch.name in
-  Arg.(value & opt (Arg.conv (parse, printer)) Gpusim.Arch.kepler_k20c
-       & info [ "arch" ] ~docv:"ARCH" ~doc:"fermi or kepler.")
-
-let warps_term =
-  Arg.(value & opt int 8 & info [ "warps" ] ~docv:"N" ~doc:"Warps per CTA.")
-
-let version_conv =
-  let parse s =
-    match Singe.Compile.version_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg ("unknown version " ^ s))
-  in
-  let printer ppf v =
-    Format.pp_print_string ppf (Singe.Compile.version_name v)
-  in
-  Arg.conv (parse, printer)
-
-let version_term =
-  Arg.(value & opt version_conv Singe.Compile.Warp_specialized
-       & info [ "version" ] ~docv:"V" ~doc:"ws, baseline or naive.")
+(* The compile target every compiling command takes. *)
+let target_term = with_chemkin (Singe.Target.term ())
 
 (* Domain budget for the parallel sweep commands (tune, figures). The
    term's value is the side effect: it installs the override before the
    command body runs. *)
 let jobs_term =
-  let set = function
-    | None -> ()
-    | Some n -> Sutil.Domain_pool.set_jobs n
-  in
   (* Strict: "--jobs 0", negatives and garbage are usage errors up front,
      not a pool that silently refuses to parallelize. *)
   let jobs_conv =
-    let parse s =
-      match Sutil.Domain_pool.jobs_of_string s with
-      | Ok n -> Ok n
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv (parse, Format.pp_print_int)
+    Arg.conv' (Sutil.Domain_pool.jobs_of_string, Format.pp_print_int)
   in
   Term.(
-    const set
+    const (Option.iter Sutil.Domain_pool.set_jobs)
     $ Arg.(
         value
         & opt (some jobs_conv) None
@@ -144,33 +102,31 @@ let validate_term =
    long) compile runs. *)
 let ir_stage_conv =
   let parse s =
-    match Singe.Compile.ir_stage_of_string s with
-    | Some stage -> Ok stage
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown IR stage %s (expected dfg, mapping, schedule or lower)"
-               s))
+    Option.to_result (Singe.Compile.ir_stage_of_string s)
+      ~none:
+        (Printf.sprintf
+           "unknown IR stage %s (expected dfg, mapping, schedule or lower)" s)
   in
   let print ppf stage =
     Format.pp_print_string ppf (Singe.Compile.ir_stage_name stage)
   in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let dump_ir_term =
   Arg.(value & opt (some ir_stage_conv) None & info [ "dump-ir" ] ~docv:"PASS"
        ~doc:"Dump the intermediate artifact after PASS: dfg, mapping, \
              schedule or lower.")
 
-(* Typed pipeline entry: every user-reachable failure prints one readable
-   diagnostic line instead of an exception backtrace. *)
+(* A rejected configuration prints one readable diagnostic line instead
+   of an exception backtrace. *)
+let reject d =
+  Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
+  exit exit_compile_rejected
+
 let compile_or_die ~validate mech kernel version options =
   match Singe.Compile.compile_checked ~validate mech kernel version options with
   | Ok (c, report) -> (c, report)
-  | Error d ->
-      Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-      exit exit_compile_rejected
+  | Error d -> reject d
 
 (* An occupancy rejection is a configuration error like any other compile
    rejection: render it as a diagnostic line and use the same exit code,
@@ -182,28 +138,52 @@ let compile_or_die ~validate mech kernel version options =
 let catch_occupancy f =
   try f () with
   | Gpusim.Chip.Occupancy_rejected r ->
-      Printf.eprintf "singe: %s\n"
-        (Singe.Diagnostics.to_string
-           (Singe.Diagnostics.error ~pass:"occupancy"
-              (Gpusim.Chip.reject_message r)));
-      exit exit_compile_rejected
-  | Singe.Diagnostics.Fail d ->
-      Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
+      reject
+        (Singe.Diagnostics.error ~pass:"occupancy"
+           (Gpusim.Chip.reject_message r))
+  | Singe.Diagnostics.Fail d -> reject d
+
+(* Resolve the target through the shared resolver: an unknown name is a
+   usage error, a failed partition search a compile rejection. *)
+let or_die = function
+  | Ok r -> r
+  | Error (Singe.Target.Bad_request msg) ->
+      Printf.eprintf "singe: %s\n" msg;
+      exit Cmd.Exit.cli_error
+  | Error (Singe.Target.Rejected d) -> reject d
+
+let resolve_or_die ((t : Singe.Target.t), mech) =
+  let ((_, _, _, _, options) as resolved) =
+    or_die (Singe.Target.resolve ?mech t)
+  in
+  if t.t_partition = "auto" then (
+    match options.Singe.Compile.partition with
+    | Singe.Compile.Partition_auto spec ->
+        Format.printf "partition auto: %a (slots %d)@."
+          Singe.Mapping.pp_auto_spec spec options.Singe.Compile.buffer_slots
+    | Singe.Compile.Partition_hand ->
+        print_endline
+          "partition auto: hand mapping retained (no candidate beat it)");
+  resolved
+
+(* Simulate, mapping a contained simulation fault (injected or real) to
+   exit 3 with its report, and a fault spec that matches nothing in the
+   trace to a configuration error (exit 2). *)
+let simulate_or_die f =
+  match f () with
+  | r -> r
+  | exception Gpusim.Sm.Simulation_fault report ->
+      Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault report;
+      exit exit_simulation_fault
+  | exception Invalid_argument msg ->
+      Printf.eprintf "singe: %s\n" msg;
       exit exit_compile_rejected
 
 (* Chip-scheduler flags shared by the simulating and predicting
    commands. *)
 let sms_term =
-  let sms_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "--sms must be >= 1, got %d" n))
-      | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some sms_conv) None & info [ "sms" ] ~docv:"N"
+  Arg.(value & opt (some (Singe.Target.pos_int_conv "--sms")) None
+       & info [ "sms" ] ~docv:"N"
        ~doc:"Dispatch the launch over N SMs (default: the architecture's \
              SM count). With 1 the CTAs run as back-to-back rounds on a \
              single SM; with more, the chip scheduler models tail waves \
@@ -214,12 +194,10 @@ let skew_term =
     let parse s =
       match float_of_string_opt s with
       | Some v when Float.abs v < 2.0 -> Ok v
-      | Some v ->
-          Error
-            (`Msg (Printf.sprintf "--skew must satisfy |S| < 2, got %g" v))
-      | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+      | Some v -> Error (Printf.sprintf "--skew must satisfy |S| < 2, got %g" v)
+      | None -> Error (Printf.sprintf "%S is not a number" s)
     in
-    Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
+    Arg.conv' (parse, fun ppf v -> Format.fprintf ppf "%g" v)
   in
   Arg.(value & opt (some skew_conv) None & info [ "skew" ] ~docv:"S"
        ~doc:"Relative per-SM clock spread: SM clock factors ramp linearly \
@@ -227,28 +205,17 @@ let skew_term =
              shipped machines).")
 
 (* Fault-containment flags shared by the simulating commands. *)
-let cycles_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some n ->
-        Error (`Msg (Printf.sprintf "cycle budget must be positive, got %d" n))
-    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let max_cycles_term =
-  Arg.(value & opt (some cycles_conv) None & info [ "max-cycles" ] ~docv:"N"
+  Arg.(value & opt (some (Singe.Target.pos_int_conv "--max-cycles")) None
+       & info [ "max-cycles" ] ~docv:"N"
        ~doc:"Arm the simulator watchdog: a simulation still live after N \
              cycles is aborted with a structured fault report (exit code 3) \
              instead of running forever.")
 
 let fault_conv =
-  let parse s =
-    match Gpusim.Fault.of_string s with Ok f -> Ok f | Error m -> Error (`Msg m)
-  in
-  let print ppf f = Format.pp_print_string ppf (Gpusim.Fault.to_string f) in
-  Arg.conv (parse, print)
+  Arg.conv'
+    ( Gpusim.Fault.of_string,
+      fun ppf f -> Format.pp_print_string ppf (Gpusim.Fault.to_string f) )
 
 let faults_term =
   Arg.(value & opt_all fault_conv [] & info [ "fault" ] ~docv:"SPEC"
@@ -281,117 +248,16 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc:"Describe a mechanism.")
     Term.(const run $ mech_term)
 
-(* The tiling mode for stencil kernels; ignored by the combustion ones. *)
-let overlap_term =
-  Arg.(value & opt bool true & info [ "stencil-overlap" ] ~docv:"BOOL"
-       ~doc:"Warp-overlapped tiling for stencil pipelines: when on, upstream \
-             bands compute halo-extended tiles (redundant recompute at the \
-             seams) so every consumer warp reads from exactly one producer; \
-             when off, each column is computed once and halo taps read \
-             cross-warp through shared memory. Ignored by the combustion \
-             kernels.")
-
-(* The exchange-rewrite override shared by the compiling commands:
-   unset = per-architecture auto (on exactly when the broadcast style is
-   shuffle-based). *)
-let synth_term =
-  Arg.(value & opt (some bool) None & info [ "synth-exchange" ] ~docv:"BOOL"
-       ~doc:"Force the shuffle-exchange superoptimizer on or off: same-warp \
-             shared-memory round-trips are rewritten into register forwards \
-             and lane-shuffle programs, and the freed exchange slots leave \
-             the shared footprint. Default: on when the architecture \
-             broadcasts through shuffles (Kepler), off otherwise.")
-
-(* The partition mode shared by the compiling commands: hand keeps the
-   paper's fixed producer/consumer split, auto derives one from the DFG
-   with Partition_search (model-only resolution; [singe tune
-   --partition auto] additionally confirms by simulation). *)
-let partition_term =
-  let mode_conv =
-    let parse = function
-      | "hand" -> Ok `Hand
-      | "auto" -> Ok `Auto
-      | s -> Error (`Msg ("unknown partition mode " ^ s ^ " (hand|auto)"))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf (match m with `Hand -> "hand" | `Auto -> "auto")
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(value & opt mode_conv `Hand & info [ "partition" ] ~docv:"MODE"
-       ~doc:"Warp partition: $(b,hand) keeps the paper's fixed \
-             producer/consumer split; $(b,auto) searches structure-derived \
-             candidate partitions (fan-out hubs as producers, arithmetic \
-             chains onto consumers) crossed with pipeline depths, ranked by \
-             the analytic model and gated by the static deadlock verifier. \
-             A candidate that fails the gate is reported as \
-             partition-rejected and never simulated.")
-
-(* The compile target the compiling commands share: mechanism, kernel,
-   architecture, warps, version and the option flags. [predict] takes an
-   optional kernel and version (a row filter), hence the parameters. A
-   command without one of the option flags passes its default as a
-   constant term instead. *)
-type ('kernel, 'version) target = {
-  mech : Chem.Mechanism.t;
-  kernel : 'kernel;
-  arch : Gpusim.Arch.t;
-  warps : int;
-  version : 'version;
-  synth : bool option;
-  overlap : bool;
-  partition : [ `Hand | `Auto ];
-}
-
-let target_term ?(synth = synth_term) ?(overlap = overlap_term)
-    ?(partition = partition_term) kernel version =
-  let make mech kernel arch warps version synth overlap partition =
-    { mech; kernel; arch; warps; version; synth; overlap; partition }
-  in
-  Term.(const make $ mech_term $ kernel $ arch_term $ warps_term $ version
-        $ synth $ overlap $ partition)
-
-let options_of t kernel =
-  { (Singe.Compile.kernel_options t.arch kernel ~n_warps:t.warps) with
-    Singe.Compile.synth_exchange = t.synth;
-    stencil_overlap = t.overlap }
-
-(* Resolve --partition for the one-configuration commands: model-only
-   search, hand base retained when nothing beats it. A search failure is
-   a compile rejection like any other (exit code 2). *)
-let resolve_partition t =
-  let options = options_of t t.kernel in
-  match t.partition with
-  | `Hand -> options
-  | `Auto -> (
-      match
-        Singe.Partition_search.resolve_options t.mech t.kernel t.version
-          ~base:options
-      with
-      | Ok resolved ->
-          (match resolved.Singe.Compile.partition with
-          | Singe.Compile.Partition_auto spec ->
-              Format.printf "partition auto: %a (slots %d)@."
-                Singe.Mapping.pp_auto_spec spec
-                resolved.Singe.Compile.buffer_slots
-          | Singe.Compile.Partition_hand ->
-              print_endline
-                "partition auto: hand mapping retained (no candidate beat it)");
-          resolved
-      | Error d ->
-          Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-          exit exit_compile_rejected)
-
 let compile_cmd =
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Print the generated code.") in
   let asm = Arg.(value & opt (some string) None & info [ "emit-asm" ] ~docv:"FILE"
                  ~doc:"Write the program's textual assembly to FILE ('-' for stdout).") in
   let cuda = Arg.(value & opt (some string) None & info [ "emit-cuda" ] ~docv:"FILE"
                   ~doc:"Write the kernel as CUDA C source to FILE ('-' for stdout).") in
-  let run t dump asm cuda timings validate dump_ir_stage =
+  let run target dump asm cuda timings validate dump_ir_stage =
     catch_occupancy @@ fun () ->
-    let options = resolve_partition t in
-    let c, report = compile_or_die ~validate t.mech t.kernel t.version options in
+    let mech, kernel, arch, version, options = resolve_or_die target in
+    let c, report = compile_or_die ~validate mech kernel version options in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
     Printf.printf
       "%s: %d instrs, %d double regs/thread (%d of them constant bank), %d \
@@ -406,7 +272,7 @@ let compile_cmd =
       c.Singe.Compile.schedule.Singe.Schedule.barriers_used
       c.Singe.Compile.schedule.Singe.Schedule.n_sync_points
       c.Singe.Compile.lowered.Singe.Lower.spill_bytes_per_thread;
-    let occ = Gpusim.Machine.occupancy t.arch p in
+    let occ = Gpusim.Machine.occupancy arch p in
     Printf.printf "occupancy: %d CTAs/SM (limited by %s)\n"
       occ.Gpusim.Machine.resident_ctas occ.Gpusim.Machine.limited_by;
     if timings then print_report report;
@@ -423,46 +289,34 @@ let compile_cmd =
         Printf.printf "assembly written to %s\n" file
     | None -> ());
     match cuda with
-    | Some "-" -> print_string (Singe.Cuda_emit.emit ~arch:t.arch p)
+    | Some "-" -> print_string (Singe.Cuda_emit.emit ~arch p)
     | Some file ->
         let oc = open_out file in
-        output_string oc (Singe.Cuda_emit.emit ~arch:t.arch p);
+        output_string oc (Singe.Cuda_emit.emit ~arch p);
         close_out oc;
         Printf.printf "CUDA source written to %s\n" file
     | None -> ()
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile a kernel and report its resources.")
-    Term.(const run $ target_term kernel_term version_term $ dump $ asm
+    Term.(const run $ target_term $ dump $ asm
           $ cuda $ timings_term $ validate_term $ dump_ir_term)
 
 let run_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
-  let run t points timings validate faults max_cycles n_sms skew =
+  let run ((t : Singe.Target.t), _ as target) timings validate faults
+      max_cycles n_sms skew =
     catch_occupancy @@ fun () ->
-    let options = resolve_partition t in
-    let c, report = compile_or_die ~validate t.mech t.kernel t.version options in
+    let mech, kernel, arch, version, options = resolve_or_die target in
+    let c, report = compile_or_die ~validate mech kernel version options in
     let r =
-      (* A contained simulation fault (injected or real) and a fault spec
-         that matches nothing in the trace each get their own exit code,
-         distinct from a compile-pipeline rejection. *)
-      match
-        Singe.Compile.run c ~total_points:points ~faults ?max_cycles ?n_sms
-          ?skew
-      with
-      | r -> r
-      | exception Gpusim.Sm.Simulation_fault report ->
-          Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault
-            report;
-          exit exit_simulation_fault
-      | exception Invalid_argument msg ->
-          Printf.eprintf "singe: %s\n" msg;
-          exit exit_compile_rejected
+      simulate_or_die (fun () ->
+          Singe.Compile.run c ~total_points:t.t_points ~faults ?max_cycles
+            ?n_sms ?skew)
     in
     Printf.printf
       "%s on %s: %.4g points/s, %.1f GFLOPS, %.1f GB/s DRAM, worst rel. \
        error vs host reference %.2g\n"
-      (Singe.Kernel_abi.kernel_name t.kernel)
-      t.arch.Gpusim.Arch.name
+      (Singe.Kernel_abi.kernel_name kernel)
+      arch.Gpusim.Arch.name
       r.Singe.Compile.machine.Gpusim.Machine.points_per_sec
       r.Singe.Compile.machine.Gpusim.Machine.gflops
       r.Singe.Compile.machine.Gpusim.Machine.dram_gbs
@@ -485,7 +339,7 @@ let run_cmd =
     if timings then print_report report
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, simulate and verify a kernel.")
-    Term.(const run $ target_term kernel_term version_term $ points
+    Term.(const run $ target_term
           $ timings_term $ validate_term $ faults_term $ max_cycles_term
           $ sms_term $ skew_term)
 
@@ -507,7 +361,6 @@ let check_parses name text =
   | Error m -> check name false m
 
 let profile_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
   let chrome =
     Arg.(value & opt (some string) None & info [ "chrome-trace" ] ~docv:"FILE"
          ~doc:"Write the profiler timeline as Chrome trace-event JSON to FILE \
@@ -530,26 +383,16 @@ let profile_cmd =
                warps), Chrome-trace JSON well-formedness and timestamp \
                monotonicity. Exit nonzero on any failure.")
   in
-  let run t points chrome top timeline check_it faults max_cycles n_sms skew =
+  let run ((t : Singe.Target.t), _ as target) chrome top timeline check_it
+      faults max_cycles n_sms skew =
     catch_occupancy @@ fun () ->
-    let c, _ =
-      compile_or_die ~validate:false t.mech t.kernel t.version
-        (options_of t t.kernel)
-    in
+    let mech, kernel, _, version, options = resolve_or_die target in
+    let c, _ = compile_or_die ~validate:false mech kernel version options in
     let profile = { Gpusim.Sm.timeline_capacity = timeline } in
     let r =
-      match
-        Singe.Compile.run c ~check:false ~total_points:points ~faults
-          ?max_cycles ~profile ?n_sms ?skew
-      with
-      | r -> r
-      | exception Gpusim.Sm.Simulation_fault report ->
-          Format.eprintf "singe: simulation fault@.%a@." Gpusim.Sm.pp_fault
-            report;
-          exit exit_simulation_fault
-      | exception Invalid_argument msg ->
-          Printf.eprintf "singe: %s\n" msg;
-          exit exit_compile_rejected
+      simulate_or_die (fun () ->
+          Singe.Compile.run c ~check:false ~total_points:t.t_points ~faults
+            ?max_cycles ~profile ?n_sms ?skew)
     in
     let prof =
       match r.Singe.Compile.machine.Gpusim.Machine.sim.Gpusim.Sm.profile with
@@ -624,21 +467,20 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Simulate a kernel with the per-warp cycle-attribution profiler \
              and print the stall breakdown.")
-    Term.(const run
-          $ target_term ~synth:(Term.const None) ~partition:(Term.const `Hand)
-              kernel_term version_term
-          $ points $ chrome $ top $ timeline $ check_flag $ faults_term
-          $ max_cycles_term $ sms_term $ skew_term)
+    Term.(const run $ target_term $ chrome $ top $ timeline $ check_flag
+          $ faults_term $ max_cycles_term $ sms_term $ skew_term)
 
 let predict_cmd =
-  let points = Arg.(value & opt int 32768 & info [ "points" ] ~docv:"N") in
+  (* --kernel and --version filter the rows instead of naming one. *)
   let kernel_opt =
-    Arg.(value & opt (some kernel_conv) None & info [ "kernel" ] ~docv:"KERNEL"
+    Arg.(value & opt (some (Singe.Target.conv Singe.Target.kernel)) None
+         & info [ "kernel" ] ~docv:"KERNEL"
          ~doc:"Restrict to one kernel (default: viscosity, diffusion, \
                chemistry, edge3 and unsharp2).")
   in
   let version_opt =
-    Arg.(value & opt (some version_conv) None & info [ "version" ] ~docv:"V"
+    Arg.(value & opt (some (Singe.Target.conv Singe.Target.version)) None
+         & info [ "version" ] ~docv:"V"
          ~doc:"Restrict to one code version (default: ws and baseline).")
   in
   let json =
@@ -652,89 +494,76 @@ let predict_cmd =
                simulator never beats the model's throughput floor. Exit \
                nonzero on any failure.")
   in
-  let run t points json check_it n_sms skew =
+  let run ((t : Singe.Target.t), file_mech) kernel version json check_it n_sms
+      skew =
     catch_occupancy @@ fun () ->
-    let mech = t.mech and warps = t.warps in
+    let mech, _, arch, _, _ =
+      or_die
+        (Singe.Target.resolve ?mech:file_mech { t with t_partition = "hand" })
+    in
+    let warps = t.t_warps and points = t.t_points in
     let kernels =
-      match t.kernel with
+      match kernel with
       | Some k -> [ k ]
-      | None ->
-          [ Singe.Kernel_abi.Viscosity; Singe.Kernel_abi.Diffusion;
-            Singe.Kernel_abi.Chemistry;
-            Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Edge3;
-            Singe.Kernel_abi.Stencil Singe.Stencil_pipe.Unsharp2 ]
+      | None -> [ "viscosity"; "diffusion"; "chemistry"; "edge3"; "unsharp2" ]
     in
     let versions =
-      match t.version with
-      | Some v -> [ v ]
-      | None -> [ Singe.Compile.Warp_specialized; Singe.Compile.Baseline ]
+      match version with Some v -> [ v ] | None -> [ "ws"; "baseline" ]
     in
     let rows = ref [] in
     Printf.printf "%-13s %-9s %5s  %12s %12s %7s  %s\n" "kernel" "version"
       "warps" "predicted" "simulated" "err" "model binding";
     List.iter
-      (fun kernel ->
+      (fun k ->
         List.iter
-          (fun version ->
-            let name =
-              Printf.sprintf "%s/%s"
-                (Singe.Kernel_abi.kernel_name kernel)
-                (Singe.Compile.version_name version)
-            in
-            if
-              version = Singe.Compile.Baseline
-              && points mod (warps * 32) <> 0
-            then Printf.printf "%-13s skipped (points not divisible)\n" name
-            else
-              (* Resolve --partition auto per row (model-only); a base
-                 compile failure skips the row like any other, keeping
-                 predict's best-effort table semantics. *)
-              let resolved =
-                let base = options_of t kernel in
-                match t.partition with
-                | `Hand -> Ok base
-                | `Auto ->
-                    Singe.Partition_search.resolve_options mech kernel version
-                      ~base
-              in
+          (fun v ->
+            (* A row the launch grid, --partition auto (model-only) or the
+               compile rejects is skipped with its diagnostic, keeping
+               predict's best-effort table semantics. *)
+            let compiled =
               match
-                Result.bind resolved (fun options ->
-                    Singe.Compile.compile_checked ~validate:false mech kernel
-                      version options)
+                Singe.Target.resolve ~mech
+                  { t with t_kernel = k; t_version = v }
               with
-              | Error d ->
-                  Printf.printf "%-13s skipped: %s\n" name
-                    (Singe.Diagnostics.to_string d)
-              | Ok (c, _) ->
-                  let pred =
-                    Singe.Perf_model.predict ?n_sms ?skew c
-                      ~total_points:points
-                  in
-                  let r =
-                    match
+              | Error (Singe.Target.Rejected d) -> Error d
+              | resolved ->
+                  let _, kernel, _, version, options = or_die resolved in
+                  Result.bind
+                    (Singe.Compile.launch_ctas kernel version ~n_warps:warps
+                       ~total_points:points)
+                    (fun _ ->
+                      Singe.Compile.compile_checked ~validate:false mech
+                        kernel version options)
+            in
+            match compiled with
+            | Error d ->
+                Printf.printf "%-13s skipped: %s\n"
+                  (Printf.sprintf "%s/%s" k v)
+                  (Singe.Diagnostics.to_string d)
+            | Ok (c, _) ->
+                let kernel = c.Singe.Compile.kernel
+                and version = c.Singe.Compile.version in
+                let pred =
+                  Singe.Perf_model.predict ?n_sms ?skew c ~total_points:points
+                in
+                let r =
+                  simulate_or_die (fun () ->
                       Singe.Compile.run c ~check:false ~total_points:points
-                        ?n_sms ?skew
-                    with
-                    | r -> r
-                    | exception Gpusim.Sm.Simulation_fault report ->
-                        Format.eprintf "singe: simulation fault@.%a@."
-                          Gpusim.Sm.pp_fault report;
-                        exit exit_simulation_fault
-                  in
-                  let measured =
-                    float_of_int
-                      r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
-                  in
-                  let err =
-                    Singe.Perf_model.rel_err
-                      ~predicted:pred.Singe.Perf_model.cycles ~measured
-                  in
-                  Printf.printf "%-13s %-9s %5d  %12.0f %12.0f %6.1f%%  %s\n"
-                    (Singe.Kernel_abi.kernel_name kernel)
-                    (Singe.Compile.version_name version)
-                    warps pred.Singe.Perf_model.cycles measured (100.0 *. err)
-                    pred.Singe.Perf_model.binding;
-                  rows := (kernel, version, pred, r, err) :: !rows)
+                        ?n_sms ?skew)
+                in
+                let measured =
+                  float_of_int r.Singe.Compile.machine.Gpusim.Machine.sm_cycles
+                in
+                let err =
+                  Singe.Perf_model.rel_err
+                    ~predicted:pred.Singe.Perf_model.cycles ~measured
+                in
+                Printf.printf "%-13s %-9s %5d  %12.0f %12.0f %6.1f%%  %s\n"
+                  (Singe.Kernel_abi.kernel_name kernel)
+                  (Singe.Compile.version_name version)
+                  warps pred.Singe.Perf_model.cycles measured (100.0 *. err)
+                  pred.Singe.Perf_model.binding;
+                rows := (kernel, version, pred, r, err) :: !rows)
           versions)
       kernels;
     let rows = List.rev !rows in
@@ -770,7 +599,7 @@ let predict_cmd =
            [
              ("schema", J.Str "singe-predict-v1");
              ("mech", J.Str mech.Chem.Mechanism.name);
-             ("arch", J.Str t.arch.Gpusim.Arch.name);
+             ("arch", J.Str arch.Gpusim.Arch.name);
              ("points", int points);
              ("rows", J.List (List.map row rows));
            ])
@@ -806,7 +635,9 @@ let predict_cmd =
     (Cmd.info "predict"
        ~doc:"Predict kernel cycles with the analytic performance model and \
              compare against the simulator.")
-    Term.(const run $ target_term kernel_opt version_opt $ points $ json
+    Term.(const run
+          $ with_chemkin (Singe.Target.term ~except:[ "kernel"; "version" ] ())
+          $ kernel_opt $ version_opt $ json
           $ check_flag $ sms_term $ skew_term)
 
 let tune_mode_term =
@@ -835,43 +666,46 @@ let top_k_term =
                simulate.")
 
 let tune_cmd =
-  let run t max_cycles tune_mode top_k n_sms skew () =
+  let run ((t : Singe.Target.t), mech) max_cycles tune_mode top_k n_sms skew
+      () =
     catch_occupancy @@ fun () ->
-    match t.partition with
-    | `Auto -> (
-        (* Full three-phase partition search: model ranking, deadlock
-           gate, then simulated confirmation through the autotuner with
-           the hand mapping seeded into the grid. *)
-        match
-          Singe.Partition_search.search ~top_k ?max_cycles ?n_sms ?skew t.mech
-            t.kernel t.version ~base:(options_of t t.kernel) ()
-        with
-        | Ok o ->
-            Format.printf "%a@." Singe.Partition_search.pp_outcome o;
-            List.iter
-              (fun (r : Singe.Partition_search.rejection) ->
-                Printf.printf "  rejected %s: %s\n"
-                  (match r.Singe.Partition_search.rej_options
-                           .Singe.Compile.partition with
-                  | Singe.Compile.Partition_auto spec ->
-                      Format.asprintf "%a" Singe.Mapping.pp_auto_spec spec
-                  | Singe.Compile.Partition_hand -> "hand")
-                  (Singe.Diagnostics.to_string
-                     r.Singe.Partition_search.rej_diag))
-              o.Singe.Partition_search.rejections
-        | Error d ->
-            Printf.eprintf "singe: %s\n" (Singe.Diagnostics.to_string d);
-            exit exit_compile_rejected)
-    | `Hand ->
+    (* Both sweeps start from the hand options: the search wants the
+       un-searched base, and the autotuner builds its own grid. *)
+    let mech, kernel, arch, version, base =
+      resolve_or_die ({ t with t_partition = "hand" }, mech)
+    in
+    if t.t_partition = "auto" then
+      (* Full three-phase partition search: model ranking, deadlock gate,
+         then simulated confirmation through the autotuner with the hand
+         mapping seeded into the grid. *)
+      match
+        Singe.Partition_search.search ~points:t.t_points ~top_k ?max_cycles
+          ?n_sms ?skew mech kernel version ~base ()
+      with
+      | Ok o ->
+          Format.printf "%a@." Singe.Partition_search.pp_outcome o;
+          List.iter
+            (fun (r : Singe.Partition_search.rejection) ->
+              Printf.printf "  rejected %s: %s\n"
+                (match
+                   r.Singe.Partition_search.rej_options.Singe.Compile.partition
+                 with
+                | Singe.Compile.Partition_auto spec ->
+                    Format.asprintf "%a" Singe.Mapping.pp_auto_spec spec
+                | Singe.Compile.Partition_hand -> "hand")
+                (Singe.Diagnostics.to_string r.Singe.Partition_search.rej_diag))
+            o.Singe.Partition_search.rejections
+      | Error d -> reject d
+    else
     let mode =
       match tune_mode with
       | `Exhaustive -> Singe.Autotune.Exhaustive
       | `Pruned -> Singe.Autotune.Pruned top_k
     in
     let o =
-      Singe.Autotune.tune ?max_cycles ~mode ?n_sms ?skew
-        ?synth_exchange:t.synth ~stencil_overlap:t.overlap t.mech t.kernel
-        t.version t.arch
+      Singe.Autotune.tune ~points:t.t_points ?max_cycles ~mode ?n_sms ?skew
+        ?synth_exchange:t.t_synth ~stencil_overlap:t.t_overlap mech kernel
+        version arch
     in
     Printf.printf "tried %d configurations (%d skipped, %d pruned by model)\n"
       o.Singe.Autotune.tried o.Singe.Autotune.skipped
@@ -898,32 +732,31 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Autotune a kernel configuration (brute-force, or pruned by the \
              analytic performance model).")
-    Term.(const run $ target_term kernel_term version_term $ max_cycles_term
+    Term.(const run $ target_term $ max_cycles_term
           $ tune_mode_term $ top_k_term $ sms_term $ skew_term $ jobs_term)
 
 let stats_cmd =
-  let run t =
-    let c =
-      Singe.Compile.compile t.mech t.kernel t.version (options_of t t.kernel)
-    in
+  let run target =
+    let mech, kernel, arch, version, options = resolve_or_die target in
+    let c, _ = compile_or_die ~validate:false mech kernel version options in
     let p = c.Singe.Compile.lowered.Singe.Lower.program in
-    Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name t.arch.Gpusim.Arch.name
+    Format.printf "%s on %s@.%a@.%a@." p.Gpusim.Isa.name arch.Gpusim.Arch.name
       Gpusim.Isa_stats.pp
-      (Gpusim.Isa_stats.of_program t.arch p)
+      (Gpusim.Isa_stats.of_program arch p)
       Gpusim.Roofline.pp
-      (Gpusim.Roofline.analyze t.arch p)
+      (Gpusim.Roofline.analyze arch p)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Static instruction mix, code footprint and roofline bounds.")
-    Term.(const run
-          $ target_term ~synth:(Term.const None) ~overlap:(Term.const true)
-              ~partition:(Term.const `Hand) kernel_term version_term)
+    Term.(const run $ target_term)
 
 let partition_cmd =
   (* Dumps the paper's partition diagrams: Fig. 5 (diffusion columns) and
      Figs. 6/7 (chemistry reaction + QSSA warp assignment). *)
   let run mech kernel warps =
+    (* --kernel's parser already rejected unknown names *)
+    let kernel = Option.get (Singe.Kernel_abi.kernel_of_string kernel) in
     match kernel with
     | Singe.Kernel_abi.Diffusion ->
         let n = Array.length (Chem.Mechanism.computed_species mech) in
@@ -1005,53 +838,29 @@ let partition_cmd =
   Cmd.v
     (Cmd.info "partition"
        ~doc:"Dump the kernel's warp partition (Figs. 5-7).")
-    Term.(const run $ mech_term $ kernel_term $ warps_term)
+    Term.(const run $ mech_term $ Singe.Target.arg Singe.Target.kernel
+          $ Singe.Target.arg Singe.Target.warps)
 
 let figures_cmd =
-  let names = Arg.(value & pos_all string [ "all" ] & info [] ~docv:"FIGURE") in
+  let names =
+    let choices = "all" :: List.map fst Experiments.Figures.table in
+    Arg.(value & pos_all (enum (List.map (fun n -> (n, n)) choices)) [ "all" ]
+         & info [] ~docv:"FIGURE")
+  in
   let run names () =
     List.iter
-      (fun n ->
-        match n with
+      (function
         | "all" -> Experiments.Figures.all ()
-        | "fig3" -> Experiments.Figures.fig3 ()
-        | "fig9" -> Experiments.Figures.fig9 ()
-        | "fig10" -> Experiments.Figures.fig10 ()
-        | "fig11" -> Experiments.Figures.fig11 ()
-        | "fig12" -> Experiments.Figures.fig12 ()
-        | "fig13" -> Experiments.Figures.fig13 ()
-        | "fig14" -> Experiments.Figures.fig14 ()
-        | "fig15" -> Experiments.Figures.fig15 ()
-        | "fig16" -> Experiments.Figures.fig16 ()
-        | "stall-breakdown" -> Experiments.Figures.stall_breakdown ()
-        | "ablation-barriers" -> Experiments.Figures.ablation_barriers ()
-        | "ablation-exp-constants" -> Experiments.Figures.ablation_exp_constants ()
-        | "ablation-chem-comm" -> Experiments.Figures.ablation_chem_comm ()
-        | "ablation-weights" -> Experiments.Figures.ablation_weights ()
-        | "ablation-batches" -> Experiments.Figures.ablation_batches ()
-        | "ablation-exchange" -> Experiments.Figures.ablation_exchange ()
-        | "model-accuracy" -> Experiments.Figures.model_accuracy ()
-        | "chip-scaling" -> Experiments.Figures.chip_scaling ()
-        | "partition-search" -> Experiments.Figures.partition_search ()
-        | "stencil-overlap" -> Experiments.Figures.stencil_overlap ()
-        | other -> failwith ("unknown figure " ^ other))
+        | n -> List.assoc n Experiments.Figures.table ())
       names
   in
   Cmd.v (Cmd.info "figures" ~doc:"Regenerate the paper's tables and figures.")
     Term.(const run $ names $ jobs_term)
 
 let serve_cmd =
-  let pos_int_conv what =
-    let parse s =
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Ok n
-      | Some n -> Error (`Msg (Printf.sprintf "%s must be >= 1, got %d" what n))
-      | None -> Error (`Msg (Printf.sprintf "%s must be a positive integer, got %S" what s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let opt_of name what dflt doc =
-    Arg.(value & opt (pos_int_conv what) dflt & info [ name ] ~docv:"N" ~doc)
+    Arg.(value & opt (Singe.Target.pos_int_conv what) dflt
+         & info [ name ] ~docv:"N" ~doc)
   in
   let d = Singe.Serve.default_config in
   let deadline =

@@ -698,24 +698,28 @@ let stencil_overlap () =
     Singe.Stencil_pipe.all_ids;
   print_newline ()
 
-let all () =
-  fig3 ();
-  fig9 ();
-  fig10 ();
-  fig11 ();
-  fig12 ();
-  fig13 ();
-  fig14 ();
-  fig15 ();
-  fig16 ();
-  stall_breakdown ();
-  ablation_barriers ();
-  ablation_exp_constants ();
-  ablation_chem_comm ();
-  ablation_weights ();
-  ablation_batches ();
-  ablation_exchange ();
-  model_accuracy ();
-  chip_scaling ();
-  partition_search ();
-  stencil_overlap ()
+let table =
+  [
+    ("fig3", fig3);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("fig14", fig14);
+    ("fig15", fig15);
+    ("fig16", fig16);
+    ("stall-breakdown", stall_breakdown);
+    ("ablation-barriers", ablation_barriers);
+    ("ablation-exp-constants", ablation_exp_constants);
+    ("ablation-chem-comm", ablation_chem_comm);
+    ("ablation-weights", ablation_weights);
+    ("ablation-batches", ablation_batches);
+    ("ablation-exchange", ablation_exchange);
+    ("model-accuracy", model_accuracy);
+    ("chip-scaling", chip_scaling);
+    ("partition-search", partition_search);
+    ("stencil-overlap", stencil_overlap);
+  ]
+
+let all () = List.iter (fun (_, f) -> f ()) table

@@ -108,5 +108,9 @@ val stencil_overlap : unit -> unit
     under both tiling modes, each with the hand band mapping and the
     searched partition ([--partition auto], model-resolved). *)
 
+val table : (string * (unit -> unit)) list
+(** Every table, figure and ablation by its command-line name
+    (["fig3"], ..., ["stencil-overlap"]), in order. *)
+
 val all : unit -> unit
-(** Every table, figure and ablation in order. *)
+(** Every entry of {!table} in order. *)

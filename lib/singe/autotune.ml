@@ -57,9 +57,9 @@ let candidate_options ?synth_exchange ?stencil_overlap ~points kernel version
     (fun n_warps ->
       List.concat_map
         (fun ctas_per_sm_target ->
-          (* The baseline launches one thread per point: its CTA size must
-             divide the problem. *)
-          if version = Compile.Baseline && points mod (n_warps * 32) <> 0
+          if
+            Result.is_error
+              (Compile.launch_ctas kernel version ~n_warps ~total_points:points)
           then []
           else
             (* Chemistry also searches its communication policy (staged vs

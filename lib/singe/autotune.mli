@@ -86,7 +86,9 @@ val candidate_options :
     {!Shuffle_synth} exchange rewrite on or off for every candidate
     (default: each candidate keeps the per-architecture auto setting).
     [stencil_overlap] fixes the stencil tiling mode across the grid
-    (default: the overlapped default; ignored by combustion kernels). *)
+    (default: the overlapped default; ignored by combustion kernels).
+    Warp counts whose launch grid cannot cover [points]
+    ({!Compile.launch_ctas}) are left out. *)
 
 val tune :
   ?points:int ->

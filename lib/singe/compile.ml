@@ -469,12 +469,11 @@ let compile_checked ?validate mech kernel version options =
 
    The table is bounded: a long-lived server streaming distinct
    configurations would otherwise grow it without limit (each entry
-   holds a whole lowered program). Eviction is LRU on a logical clock
-   bumped at every hit, and every hit re-verifies the stored artifact
-   against the structural fingerprint recorded at insertion — a
-   mismatch (memory corruption, or a bug mutating a "immutable"
-   artifact) drops the entry, recompiles, and is counted rather than
-   silently served. *)
+   holds a whole lowered program). Eviction is {!Sutil.Lru}'s, and every
+   hit re-verifies the stored artifact against the structural
+   fingerprint recorded at insertion — a mismatch (memory corruption, or
+   a bug mutating a "immutable" artifact) drops the entry, recompiles,
+   and is counted rather than silently served. *)
 
 type memo_stats = {
   size : int;
@@ -490,16 +489,13 @@ type memo_entry = {
   mutable fingerprint : int array;
       (* mutable only so tests can poison an entry to exercise the
          corruption path; the cache itself never writes it after insert *)
-  mutable last_use : int;
 }
 
-let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 64
+(* Guarded by [memo_mutex]. *)
+let memo : (string, memo_entry) Sutil.Lru.t = Sutil.Lru.create 512
 let memo_mutex = Mutex.create ()
-let memo_tick = ref 0
-let memo_max = ref 512
 let memo_hits = ref 0
 let memo_misses = ref 0
-let memo_evictions = ref 0
 let memo_corruptions = ref 0
 
 (* Cheap structural checksum of a compiled artifact: program-level
@@ -521,46 +517,24 @@ let fingerprint (t : t) =
     Array.length t.dfg.Dfg.values;
   |]
 
-(* Callers hold [memo_mutex]. *)
-let evict_down_to limit =
-  while Hashtbl.length memo > limit do
-    let oldest = ref None in
-    Hashtbl.iter
-      (fun key e ->
-        match !oldest with
-        | Some (_, lru) when lru <= e.last_use -> ()
-        | _ -> oldest := Some (key, e.last_use))
-      memo;
-    match !oldest with
-    | None -> ()
-    | Some (key, _) ->
-        Hashtbl.remove memo key;
-        incr memo_evictions
-  done
-
-let memo_limit () = !memo_max
-
-let set_memo_limit n =
-  let n = max 1 n in
+let with_memo f =
   Mutex.lock memo_mutex;
-  memo_max := n;
-  evict_down_to n;
-  Mutex.unlock memo_mutex
+  Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
+
+let memo_limit () = with_memo (fun () -> Sutil.Lru.capacity memo)
+let set_memo_limit n =
+  with_memo (fun () -> Sutil.Lru.set_capacity memo (max 1 n))
 
 let memo_stats () =
-  Mutex.lock memo_mutex;
-  let s =
-    {
-      size = Hashtbl.length memo;
-      limit = !memo_max;
-      hits = !memo_hits;
-      misses = !memo_misses;
-      evictions = !memo_evictions;
-      corruptions = !memo_corruptions;
-    }
-  in
-  Mutex.unlock memo_mutex;
-  s
+  with_memo (fun () ->
+      {
+        size = Sutil.Lru.length memo;
+        limit = Sutil.Lru.capacity memo;
+        hits = !memo_hits;
+        misses = !memo_misses;
+        evictions = Sutil.Lru.evictions memo;
+        corruptions = !memo_corruptions;
+      })
 
 let memo_key mech kernel version options =
   Digest.string (Marshal.to_string (mech, kernel, version, options) [])
@@ -568,27 +542,21 @@ let memo_key mech kernel version options =
 let compile_cached mech kernel version options =
   let key = memo_key mech kernel version options in
   let cached =
-    Mutex.lock memo_mutex;
-    let v =
-      match Hashtbl.find_opt memo key with
-      | None ->
-          incr memo_misses;
-          None
-      | Some e when e.fingerprint = fingerprint e.value ->
-          incr memo_hits;
-          incr memo_tick;
-          e.last_use <- !memo_tick;
-          Some e.value
-      | Some _ ->
-          (* Re-verification failed: the artifact no longer matches what
-             was inserted. Drop it and recompile below. *)
-          Hashtbl.remove memo key;
-          incr memo_corruptions;
-          incr memo_misses;
-          None
-    in
-    Mutex.unlock memo_mutex;
-    v
+    with_memo (fun () ->
+        match Sutil.Lru.find memo key with
+        | None ->
+            incr memo_misses;
+            None
+        | Some e when e.fingerprint = fingerprint e.value ->
+            incr memo_hits;
+            Some e.value
+        | Some _ ->
+            (* Re-verification failed: the artifact no longer matches what
+               was inserted. Drop it and recompile below. *)
+            Sutil.Lru.remove memo key;
+            incr memo_corruptions;
+            incr memo_misses;
+            None)
   in
   match cached with
   | Some t -> t
@@ -597,27 +565,18 @@ let compile_cached mech kernel version options =
          work for the same key (deterministic, so either result is the
          same), but never serialize on each other. *)
       let t = compile mech kernel version options in
-      Mutex.lock memo_mutex;
-      if not (Hashtbl.mem memo key) then begin
-        incr memo_tick;
-        Hashtbl.add memo key
-          { value = t; fingerprint = fingerprint t; last_use = !memo_tick };
-        evict_down_to !memo_max
-      end;
-      Mutex.unlock memo_mutex;
+      with_memo (fun () ->
+          Sutil.Lru.add memo key { value = t; fingerprint = fingerprint t });
       t
 
 let memo_poison_for_test () =
-  Mutex.lock memo_mutex;
-  let victim = Hashtbl.fold (fun _ e _ -> Some e) memo None in
-  (match victim with Some e -> e.fingerprint <- [||] | None -> ());
-  Mutex.unlock memo_mutex;
-  victim <> None
+  with_memo (fun () ->
+      let victim = ref None in
+      Sutil.Lru.iter (fun _ e -> victim := Some e) memo;
+      Option.iter (fun e -> e.fingerprint <- [||]) !victim;
+      !victim <> None)
 
-let memo_clear () =
-  Mutex.lock memo_mutex;
-  Hashtbl.reset memo;
-  Mutex.unlock memo_mutex
+let memo_clear () = with_memo (fun () -> Sutil.Lru.clear memo)
 
 (* ---- IR dumping (the CLI's --dump-ir) ---- *)
 
@@ -651,23 +610,42 @@ let dump_ir ppf t stage =
   Format.pp_close_box ppf ();
   Format.pp_print_newline ppf ()
 
-let default_ctas t ~total_points =
-  match t.version with
+let launch_ctas kernel version ~n_warps ~total_points =
+  let reject fmt =
+    Diagnostics.errorf ~pass:"launch" ~loc:(Kernel_abi.kernel_name kernel) fmt
+  in
+  match version with
   | Baseline ->
-      let per_cta = t.options.n_warps * 32 in
-      (* Used to be an [assert]: a stray --points on a baseline launch
-         would abort the process instead of explaining itself. *)
-      if total_points mod per_cta <> 0 then
-        Diagnostics.failf ~pass:"launch"
-          ~loc:(Kernel_abi.kernel_name t.kernel)
-          "baseline %s launches one thread per point: %d points do not \
-           divide into %d-thread CTAs (%d warps x 32); pick a multiple or \
-           pass an explicit CTA count"
-          (Kernel_abi.kernel_name t.kernel)
-          total_points per_cta t.options.n_warps;
-      total_points / per_cta
+      let per_cta = n_warps * 32 in
+      if total_points mod per_cta = 0 then Ok (total_points / per_cta)
+      else
+        Error
+          (reject
+             "baseline %s launches one thread per point: %d points do not \
+              divide into %d-thread CTAs (%d warps x 32); pick a multiple or \
+              pass an explicit CTA count"
+             (Kernel_abi.kernel_name kernel)
+             total_points per_cta n_warps)
   | Warp_specialized | Naive_warp_specialized ->
-      min 1024 (total_points / 32)
+      (* Each CTA streams whole 32-point batches. *)
+      let ctas = min 1024 (total_points / 32) in
+      if ctas >= 1 && total_points mod (32 * ctas) = 0 then Ok ctas
+      else
+        Error
+          (reject
+             "%s %s streams 32-point batches over min(1024, points/32) CTAs: \
+              %d points do not split into whole batches per CTA; pick a \
+              multiple of 32 (of 32768 from 32768 points up)"
+             (version_name version)
+             (Kernel_abi.kernel_name kernel)
+             total_points)
+
+let default_ctas t ~total_points =
+  match
+    launch_ctas t.kernel t.version ~n_warps:t.options.n_warps ~total_points
+  with
+  | Ok ctas -> ctas
+  | Error d -> raise (Diagnostics.Fail d)
 
 type run_result = {
   machine : Gpusim.Machine.result;

@@ -218,13 +218,18 @@ val dump_ir : Format.formatter -> t -> ir_stage -> unit
     dataflow graph with its expressions, the warp mapping, the per-warp
     action schedule, or the lowered program. *)
 
+val launch_ctas :
+  Kernel_abi.kernel -> version -> n_warps:int -> total_points:int ->
+  (int, Diagnostics.t) result
+(** The launch grid, checkable before compiling. Warp-specialized kernels
+    use min(1024, points/32) CTAs, so larger problems amortize the
+    constant-loading prologue over more batches (§6.2), each CTA
+    streaming whole 32-point batches; the baseline launches one thread
+    per point in whole CTAs. A point count that fits neither is a
+    ["launch"] diagnostic. *)
+
 val default_ctas : t -> total_points:int -> int
-(** Launch-grid size: warp-specialized kernels use a fixed CTA grid (1024,
-    capped so each CTA gets at least one 32-point batch) so larger problems
-    amortize the constant-loading prologue over more batches (§6.2);
-    the baseline launches one thread per point and raises a positioned
-    {!Diagnostics.Fail} (pass ["launch"]) when the point count does not
-    divide into whole CTAs. *)
+(** {!launch_ctas}, raising {!Diagnostics.Fail} with its diagnostic. *)
 
 type run_result = {
   machine : Gpusim.Machine.result;

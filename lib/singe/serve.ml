@@ -50,7 +50,7 @@ let watchdog_ceiling = 200_000_000
 
 (* ---- wire protocol ---- *)
 
-type target = {
+type target = Target.t = {
   t_mech : string;
   t_kernel : string;
   t_arch : string;
@@ -58,6 +58,7 @@ type target = {
   t_warps : int;
   t_points : int;
   t_synth : bool option;
+  t_overlap : bool;
   t_partition : string;
 }
 
@@ -80,17 +81,7 @@ type request = {
   req : payload;
 }
 
-let default_target =
-  {
-    t_mech = "dme";
-    t_kernel = "viscosity";
-    t_arch = "kepler";
-    t_version = "ws";
-    t_warps = 8;
-    t_points = 8192;
-    t_synth = None;
-    t_partition = "hand";
-  }
+let default_target = Target.default
 
 let kind_name = function
   | Compile_req _ -> "compile"
@@ -112,28 +103,11 @@ let request_to_json r =
       | None -> [])
     @ [ ("kind", Str (kind_name r.req)) ]
   in
-  let target t =
-    [
-      ("mech", Str t.t_mech);
-      ("kernel", Str t.t_kernel);
-      ("arch", Str t.t_arch);
-      ("version", Str t.t_version);
-      ("warps", Num (float_of_int t.t_warps));
-      ("points", Num (float_of_int t.t_points));
-    ]
-    @ (match t.t_synth with
-      | Some b -> [ ("synth_exchange", Bool b) ]
-      | None -> [])
-    @
-    match t.t_partition with
-    | "hand" -> []
-    | p -> [ ("partition", Str p) ]
-  in
   let rest =
     match r.req with
-    | Compile_req t | Predict_req t -> target t
+    | Compile_req t | Predict_req t -> Target.to_json t
     | Run_req { target = t; faults; max_cycles } ->
-        target t
+        Target.to_json t
         @ (match faults with
           | [] -> []
           | fs -> [ ("faults", List (Stdlib.List.map (fun f -> Str f) fs)) ])
@@ -141,7 +115,7 @@ let request_to_json r =
           | Some m -> [ ("max_cycles", Num (float_of_int m)) ]
           | None -> [])
     | Tune_req { target = t; top_k } ->
-        target t @ [ ("top_k", Num (float_of_int top_k)) ]
+        Target.to_json t @ [ ("top_k", Num (float_of_int top_k)) ]
     | Health_req | Stats_req | Shutdown_req -> []
   in
   J.emit (Obj (base @ rest))
@@ -153,168 +127,85 @@ let request_to_json r =
 let ( let* ) = Result.bind
 
 let envelope_keys = [ "id"; "deadline_ms"; "kind" ]
-let target_keys =
+
+let check_fields members allowed =
+  List.fold_left
+    (fun acc (k, _) ->
+      let* () = acc in
+      if List.mem k allowed then Ok ()
+      else
+        Error
+          (Printf.sprintf "unknown field %S (expected one of %s)" k
+             (String.concat ", " allowed)))
+    (Ok ()) members
+
+let faults_json v =
+  match J.list v with
+  | None ->
+      Error
+        (Printf.sprintf "must be an array of strings, got %s"
+           (J.to_string_brief v))
+  | Some items ->
+      List.fold_right
+        (fun item acc ->
+          match J.str item with
+          | Some s -> Result.map (List.cons s) acc
+          | None ->
+              Error
+                (Printf.sprintf "must contain strings, got %s"
+                   (J.to_string_brief item)))
+        items (Ok [])
+
+(* Each kind's fields beyond the envelope, and its payload decoder. *)
+let kinds =
+  let target extra make =
+    ( Target.names @ extra,
+      fun doc -> Result.bind (Target.of_json doc) (make doc) )
+  in
+  let pos_int key doc = Target.member key Target.pos_int_json doc in
+  let bare req = ([], fun _ -> Ok req) in
   [
-    "mech";
-    "kernel";
-    "arch";
-    "version";
-    "warps";
-    "points";
-    "synth_exchange";
-    "partition";
+    ("compile", target [] (fun _ t -> Ok (Compile_req t)));
+    ( "run",
+      target [ "faults"; "max_cycles" ] (fun doc t ->
+          let* faults = Target.member "faults" faults_json doc in
+          let* max_cycles = pos_int "max_cycles" doc in
+          let faults = Option.value faults ~default:[] in
+          Ok (Run_req { target = t; faults; max_cycles })) );
+    ("predict", target [] (fun _ t -> Ok (Predict_req t)));
+    ( "tune",
+      target [ "top_k" ] (fun doc t ->
+          let* top_k = pos_int "top_k" doc in
+          let top_k = Option.value top_k ~default:Autotune.default_prune_keep in
+          Ok (Tune_req { target = t; top_k })) );
+    ("health", bare Health_req);
+    ("stats", bare Stats_req);
+    ("shutdown", bare Shutdown_req);
   ]
 
-let check_fields doc allowed =
-  match doc with
-  | J.Obj members ->
-      List.fold_left
-        (fun acc (k, _) ->
-          let* () = acc in
-          if List.mem k allowed then Ok ()
-          else
-            Error
-              (Printf.sprintf "unknown field %S (expected one of %s)" k
-                 (String.concat ", " allowed)))
-        (Ok ()) members
-  | _ -> Error "request must be a JSON object"
-
-let opt_field doc key conv what =
-  match J.member key doc with
-  | None -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None ->
-          Error
-            (Printf.sprintf "field %S must be %s, got %s" key what
-               (J.to_string_brief v)))
-
-let opt_pos_int doc key =
-  let* v = opt_field doc key J.int "a positive integer" in
-  match v with
-  | Some n when n < 1 ->
-      Error (Printf.sprintf "field %S must be >= 1, got %d" key n)
-  | v -> Ok v
-
-let target_of doc =
-  let dflt = default_target in
-  let* mech = opt_field doc "mech" J.str "a string" in
-  let* kernel = opt_field doc "kernel" J.str "a string" in
-  let* arch = opt_field doc "arch" J.str "a string" in
-  let* version = opt_field doc "version" J.str "a string" in
-  let* warps = opt_pos_int doc "warps" in
-  let* points = opt_pos_int doc "points" in
-  let* synth = opt_field doc "synth_exchange" J.bool "a boolean" in
-  let* partition = opt_field doc "partition" J.str "a string" in
-  let* partition =
-    match partition with
-    | None -> Ok dflt.t_partition
-    | Some ("hand" | "auto") -> Ok (Option.get partition)
-    | Some other ->
-        Error
-          (Printf.sprintf
-             "field \"partition\" must be \"hand\" or \"auto\", got %S" other)
-  in
-  Ok
-    {
-      t_mech = Option.value mech ~default:dflt.t_mech;
-      t_kernel = Option.value kernel ~default:dflt.t_kernel;
-      t_arch = Option.value arch ~default:dflt.t_arch;
-      t_version = Option.value version ~default:dflt.t_version;
-      t_warps = Option.value warps ~default:dflt.t_warps;
-      t_points = Option.value points ~default:dflt.t_points;
-      t_synth = synth;
-      t_partition = partition;
-    }
-
 let request_of_json doc =
-  let* () =
+  let* members =
     match doc with
-    | J.Obj _ -> Ok ()
+    | J.Obj members -> Ok members
     | v ->
         Error
           (Printf.sprintf "request must be a JSON object, got %s"
              (J.to_string_brief v))
   in
-  let* id = opt_field doc "id" J.str "a string" in
-  let* deadline = opt_pos_int doc "deadline_ms" in
-  let* kind =
-    match J.member "kind" doc with
-    | None -> Error "missing field \"kind\""
-    | Some v -> (
-        match J.str v with
-        | Some s -> Ok s
-        | None ->
-            Error
-              (Printf.sprintf "field \"kind\" must be a string, got %s"
-                 (J.to_string_brief v)))
+  let* id = Target.member "id" Target.string_json doc in
+  let* deadline = Target.member "deadline_ms" Target.pos_int_json doc in
+  let* kind = Target.member "kind" Target.string_json doc in
+  let* kind = Option.to_result kind ~none:"missing field \"kind\"" in
+  let* fields, decode =
+    Option.to_result (List.assoc_opt kind kinds)
+      ~none:
+        (Printf.sprintf
+           "unknown kind %S (expected compile, run, predict, tune, health, \
+            stats or shutdown)"
+           kind)
   in
-  let* payload =
-    match kind with
-    | "compile" ->
-        let* () = check_fields doc (envelope_keys @ target_keys) in
-        let* t = target_of doc in
-        Ok (Compile_req t)
-    | "predict" ->
-        let* () = check_fields doc (envelope_keys @ target_keys) in
-        let* t = target_of doc in
-        Ok (Predict_req t)
-    | "run" ->
-        let* () =
-          check_fields doc
-            (envelope_keys @ target_keys @ [ "faults"; "max_cycles" ])
-        in
-        let* t = target_of doc in
-        let* faults =
-          match J.member "faults" doc with
-          | None -> Ok []
-          | Some v -> (
-              match J.list v with
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "field \"faults\" must be an array of strings, got %s"
-                       (J.to_string_brief v))
-              | Some items ->
-                  List.fold_left
-                    (fun acc item ->
-                      let* fs = acc in
-                      match J.str item with
-                      | Some s -> Ok (s :: fs)
-                      | None ->
-                          Error
-                            (Printf.sprintf
-                               "field \"faults\" must contain strings, got %s"
-                               (J.to_string_brief item)))
-                    (Ok []) items
-                  |> Result.map List.rev)
-        in
-        let* max_cycles = opt_pos_int doc "max_cycles" in
-        Ok (Run_req { target = t; faults; max_cycles })
-    | "tune" ->
-        let* () = check_fields doc (envelope_keys @ target_keys @ [ "top_k" ]) in
-        let* t = target_of doc in
-        let* top_k = opt_pos_int doc "top_k" in
-        Ok
-          (Tune_req
-             { target = t; top_k = Option.value top_k ~default:Autotune.default_prune_keep })
-    | "health" ->
-        let* () = check_fields doc envelope_keys in
-        Ok Health_req
-    | "stats" ->
-        let* () = check_fields doc envelope_keys in
-        Ok Stats_req
-    | "shutdown" ->
-        let* () = check_fields doc envelope_keys in
-        Ok Shutdown_req
-    | other ->
-        Error
-          (Printf.sprintf
-             "unknown kind %S (expected compile, run, predict, tune, health, \
-              stats or shutdown)"
-             other)
-  in
+  let* () = check_fields members (envelope_keys @ fields) in
+  let* payload = decode doc in
   Ok { req_id = id; req_deadline_ms = deadline; req = payload }
 
 let parse_request line =
@@ -332,38 +223,21 @@ type counters = {
   mutable errors : int;
   mutable degraded : int;
   mutable wall_overruns : int;
-  (* per kind *)
-  mutable n_compile : int;
-  mutable n_run : int;
-  mutable n_predict : int;
-  mutable n_tune : int;
-  mutable n_health : int;
-  mutable n_stats : int;
-  mutable n_shutdown : int;
-  (* per error class *)
-  mutable e_bad_request : int;
-  mutable e_rejected : int;
-  mutable e_fault : int;
-  mutable e_internal : int;
-  mutable e_busy : int;
+  tally : (string, int) Hashtbl.t;  (** per kind and per error class *)
   (* caches *)
   mutable id_cache_hits : int;
   mutable tune_cache_hits : int;
 }
 
-type id_entry = {
-  ie_digest : string;
-  ie_response : string;
-  mutable ie_last_use : int;
-}
+(* A replayable response and the digest of the payload it answered. *)
+type id_entry = { ie_digest : string; ie_response : string }
 
 type state = {
   cfg : config;
   c : counters;
   queue : string Queue.t;
-  id_cache : (string, id_entry) Hashtbl.t;
-  mutable id_tick : int;
-  tune_cache : (string, (string * J.t) list) Hashtbl.t;
+  id_cache : (string, id_entry) Sutil.Lru.t;
+  tune_cache : (string, (string * J.t) list) Sutil.Lru.t;
 }
 
 (* A config hole found the hard way: [deadline_ms <= 0] used to slip
@@ -394,28 +268,18 @@ let create ?(config = default_config) () =
         errors = 0;
         degraded = 0;
         wall_overruns = 0;
-        n_compile = 0;
-        n_run = 0;
-        n_predict = 0;
-        n_tune = 0;
-        n_health = 0;
-        n_stats = 0;
-        n_shutdown = 0;
-        e_bad_request = 0;
-        e_rejected = 0;
-        e_fault = 0;
-        e_internal = 0;
-        e_busy = 0;
+        tally = Hashtbl.create 16;
         id_cache_hits = 0;
         tune_cache_hits = 0;
       };
     queue = Queue.create ();
-    id_cache = Hashtbl.create 64;
-    id_tick = 0;
-    tune_cache = Hashtbl.create 16;
+    id_cache = Sutil.Lru.create config.id_cache_entries;
+    tune_cache = Sutil.Lru.create 64;
   }
 
 let queue_depth st = Queue.length st.queue
+let count st k = Option.value (Hashtbl.find_opt st.c.tally k) ~default:0
+let bump st k = Hashtbl.replace st.c.tally k (count st k + 1)
 let requests_total st = st.c.total
 
 (* ---- response construction ---- *)
@@ -450,12 +314,7 @@ let ok_response st id kind fields =
 
 let error_response st id cls msg extra =
   st.c.errors <- st.c.errors + 1;
-  (match cls with
-  | Bad_request -> st.c.e_bad_request <- st.c.e_bad_request + 1
-  | Rejected -> st.c.e_rejected <- st.c.e_rejected + 1
-  | Faulted -> st.c.e_fault <- st.c.e_fault + 1
-  | Busy -> st.c.e_busy <- st.c.e_busy + 1
-  | Internal -> st.c.e_internal <- st.c.e_internal + 1);
+  bump st (class_name cls);
   J.Obj
     ([ ("id", id_json id); ("status", J.Str "error");
        ("class", J.Str (class_name cls)) ]
@@ -469,82 +328,28 @@ let error_response st id cls msg extra =
 
 exception Reply of error_class * string
 
-let resolve_target t =
-  let mech =
-    match Chem.Mech_gen.by_name t.t_mech with
-    | Some m -> m
-    | None ->
-        raise
-          (Reply
-             ( Bad_request,
-               Printf.sprintf
-                 "unknown mechanism %S (expected dme, heptane, methane or \
-                  hydrogen)"
-                 t.t_mech ))
-  in
-  let kernel =
-    match Kernel_abi.kernel_of_string t.t_kernel with
-    | Some k -> k
-    | None ->
-        raise
-          (Reply (Bad_request, Printf.sprintf "unknown kernel %S" t.t_kernel))
-  in
-  let arch =
-    match Gpusim.Arch.by_name t.t_arch with
-    | Some a -> a
-    | None ->
-        raise
-          (Reply
-             (Bad_request, Printf.sprintf "unknown architecture %S" t.t_arch))
-  in
-  let version =
-    match Compile.version_of_string t.t_version with
-    | Some v -> v
-    | None ->
-        raise
-          (Reply (Bad_request, Printf.sprintf "unknown version %S" t.t_version))
-  in
-  let options =
-    {
-      (Compile.kernel_options arch kernel ~n_warps:t.t_warps) with
-      Compile.synth_exchange = t.t_synth;
-    }
-  in
-  let options =
-    (* "auto" resolves through the model-only partition search (compile
-       memo shared, so a repeated target resolves from cache); pipeline
-       failures of the search itself are typed rejections like any other
-       compile failure. *)
-    if t.t_partition <> "auto" then options
-    else
-      match
-        Partition_search.resolve_options mech kernel version ~base:options
-      with
-      | Ok o -> o
-      | Error d -> raise (Reply (Rejected, Diagnostics.to_string d))
-  in
-  (mech, kernel, arch, version, options)
+(* A target error answers with its class: an unknown name is a bad
+   request; a failed partition search raises [Diagnostics.Fail], which
+   [contained] answers as compile-rejected, like every compile
+   rejection. *)
+let or_reply = function
+  | Ok r -> r
+  | Error (Target.Bad_request msg) -> raise (Reply (Bad_request, msg))
+  | Error (Target.Rejected d) -> raise (Diagnostics.Fail d)
 
-(* The baseline launches one thread per point; a non-divisible grid
-   would fail Compile.default_ctas' [launch] diagnostic mid-simulation,
-   after the compile. Reject it as a configuration error up front, like
-   the CLI's predict skip. *)
-let check_divisibility t version =
-  if version = Compile.Baseline && t.t_points mod (t.t_warps * 32) <> 0 then
-    raise
-      (Reply
-         ( Rejected,
-           Printf.sprintf
-             "baseline needs points divisible by warps*32 (%d points, %d \
-              warps)"
-             t.t_points t.t_warps ))
+(* The launch grid is checked before compiling, with the diagnostic
+   Compile.run would raise after it. *)
+let check_launch t kernel version =
+  Result.iter_error
+    (fun d -> raise (Diagnostics.Fail d))
+    (Compile.launch_ctas kernel version ~n_warps:t.t_warps
+       ~total_points:t.t_points)
 
-(* Compile with the shared bounded memo; pipeline failures become typed
-   rejections exactly as Compile.compile_checked classifies them. *)
+(* Compile with the shared bounded memo; a stage that cannot fit the
+   configuration is a rejection, as in Compile.compile_checked. *)
 let compile_target mech kernel version options =
   match Compile.compile_cached mech kernel version options with
   | c -> c
-  | exception Diagnostics.Fail d -> raise (Reply (Rejected, Diagnostics.to_string d))
   | exception Failure msg -> raise (Reply (Rejected, "pipeline: " ^ msg))
 
 (* deadline_ms -> simulator cycle budget, saturating at the watchdog
@@ -621,8 +426,7 @@ let degraded_caveat budget =
     budget
 
 let handle_compile st id t =
-  st.c.n_compile <- st.c.n_compile + 1;
-  let mech, kernel, arch, version, options = resolve_target t in
+  let mech, kernel, arch, version, options = or_reply (Target.resolve t) in
   let c = compile_target mech kernel version options in
   let p = c.Compile.lowered.Lower.program in
   let occ = Gpusim.Machine.occupancy arch p in
@@ -642,9 +446,8 @@ let handle_compile st id t =
     ]
 
 let handle_predict st id t =
-  st.c.n_predict <- st.c.n_predict + 1;
-  let mech, kernel, _arch, version, options = resolve_target t in
-  check_divisibility t version;
+  let mech, kernel, _arch, version, options = or_reply (Target.resolve t) in
+  check_launch t kernel version;
   let c = compile_target mech kernel version options in
   let pred = Perf_model.predict c ~total_points:t.t_points in
   ok_response st id "predict"
@@ -655,9 +458,8 @@ let handle_predict st id t =
     ]
 
 let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
-  st.c.n_run <- st.c.n_run + 1;
-  let mech, kernel, _arch, version, options = resolve_target t in
-  check_divisibility t version;
+  let mech, kernel, _arch, version, options = or_reply (Target.resolve t) in
+  check_launch t kernel version;
   let faults =
     List.map
       (fun spec ->
@@ -724,8 +526,9 @@ let handle_run st id deadline_ms ~target:t ~faults ~max_cycles =
 let model_only_tune t mech kernel version arch =
   let warp_candidates = Autotune.default_warp_candidates mech kernel version in
   let grid =
-    Autotune.candidate_options ?synth_exchange:t.t_synth ~points:t.t_points
-      kernel version arch warp_candidates [ 1; 2 ]
+    Autotune.candidate_options ?synth_exchange:t.t_synth
+      ~stencil_overlap:t.t_overlap ~points:t.t_points kernel version arch
+      warp_candidates [ 1; 2 ]
   in
   let scored =
     List.filter_map
@@ -757,11 +560,10 @@ let model_only_tune t mech kernel version arch =
 let tune_key r = Digest.to_hex (Digest.string (request_to_json r))
 
 let handle_tune st id deadline_ms ~target:t ~top_k =
-  st.c.n_tune <- st.c.n_tune + 1;
   (* Resolve the hand base even for partition:"auto" — the search wants
      the un-searched options as its baseline, not a pre-resolved winner. *)
   let mech, kernel, arch, version, base =
-    resolve_target { t with t_partition = "hand" }
+    or_reply (Target.resolve { t with t_partition = "hand" })
   in
   let key =
     tune_key
@@ -771,7 +573,7 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
         req = Tune_req { target = t; top_k };
       }
   in
-  match Hashtbl.find_opt st.tune_cache key with
+  match Sutil.Lru.find st.tune_cache key with
   | Some fields ->
       st.c.tune_cache_hits <- st.c.tune_cache_hits + 1;
       ok_response st id "tune" fields
@@ -816,16 +618,15 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                 ]
             | Error d -> raise (Reply (Rejected, Diagnostics.to_string d)))
       in
-      if Hashtbl.length st.tune_cache >= 64 then Hashtbl.reset st.tune_cache;
-      Hashtbl.replace st.tune_cache key fields;
+      Sutil.Lru.add st.tune_cache key fields;
       ok_response st id "tune" fields
   | None ->
       let budget = budget_cycles st.cfg deadline_ms in
       let fields =
         match
           Autotune.tune ~points:t.t_points ~max_cycles:budget
-            ~mode:(Autotune.Pruned top_k) ?synth_exchange:t.t_synth mech kernel
-            version arch
+            ~mode:(Autotune.Pruned top_k) ?synth_exchange:t.t_synth
+            ~stencil_overlap:t.t_overlap mech kernel version arch
         with
         | o ->
             let b = o.Autotune.best in
@@ -873,9 +674,7 @@ let handle_tune st id deadline_ms ~target:t ~top_k =
                   ("caveat", J.Str (degraded_caveat budget));
                 ])
       in
-      (* Bound the tuned-config cache like everything else long-lived. *)
-      if Hashtbl.length st.tune_cache >= 64 then Hashtbl.reset st.tune_cache;
-      Hashtbl.replace st.tune_cache key fields;
+      Sutil.Lru.add st.tune_cache key fields;
       ok_response st id "tune" fields
 
 let memo_stats_json () =
@@ -891,7 +690,6 @@ let memo_stats_json () =
     ]
 
 let handle_health st id =
-  st.c.n_health <- st.c.n_health + 1;
   ok_response st id "health"
     [
       ("live", J.Bool true);
@@ -906,7 +704,6 @@ let handle_health st id =
     ]
 
 let handle_stats st id =
-  st.c.n_stats <- st.c.n_stats + 1;
   ok_response st id "stats"
     [
       ("requests_total", numi st.c.total);
@@ -915,39 +712,28 @@ let handle_stats st id =
       ("degraded", numi st.c.degraded);
       ("wall_overruns", numi st.c.wall_overruns);
       ( "by_kind",
-        J.Obj
-          [
-            ("compile", numi st.c.n_compile);
-            ("run", numi st.c.n_run);
-            ("predict", numi st.c.n_predict);
-            ("tune", numi st.c.n_tune);
-            ("health", numi st.c.n_health);
-            ("stats", numi st.c.n_stats);
-            ("shutdown", numi st.c.n_shutdown);
-          ] );
+        J.Obj (List.map (fun (kind, _) -> (kind, numi (count st kind))) kinds) );
       ( "by_class",
         J.Obj
-          [
-            ("bad_request", numi st.c.e_bad_request);
-            ("compile_rejected", numi st.c.e_rejected);
-            ("simulation_fault", numi st.c.e_fault);
-            ("busy", numi st.c.e_busy);
-            ("internal", numi st.c.e_internal);
-          ] );
+          (List.map
+             (fun (key, cls) -> (key, numi (count st (class_name cls))))
+             [ ("bad_request", Bad_request); ("compile_rejected", Rejected);
+               ("simulation_fault", Faulted); ("busy", Busy);
+               ("internal", Internal) ]) );
       ("queue_depth", numi (Queue.length st.queue));
       ("queue_bound", numi st.cfg.max_queue);
       ("compile_cache", memo_stats_json ());
       ( "id_cache",
         J.Obj
           [
-            ("size", numi (Hashtbl.length st.id_cache));
+            ("size", numi (Sutil.Lru.length st.id_cache));
             ("limit", numi st.cfg.id_cache_entries);
             ("hits", numi st.c.id_cache_hits);
           ] );
       ( "tune_cache",
         J.Obj
           [
-            ("size", numi (Hashtbl.length st.tune_cache));
+            ("size", numi (Sutil.Lru.length st.tune_cache));
             ("hits", numi st.c.tune_cache_hits);
           ] );
       ( "domain_pool",
@@ -965,6 +751,7 @@ let handle_stats st id =
 (* ---- the request boundary ---- *)
 
 let dispatch st id deadline_ms req =
+  bump st (kind_name req);
   match req with
   | Compile_req t -> handle_compile st id t
   | Predict_req t -> handle_predict st id t
@@ -973,9 +760,7 @@ let dispatch st id deadline_ms req =
   | Tune_req { target; top_k } -> handle_tune st id deadline_ms ~target ~top_k
   | Health_req -> handle_health st id
   | Stats_req -> handle_stats st id
-  | Shutdown_req ->
-      st.c.n_shutdown <- st.c.n_shutdown + 1;
-      ok_response st id "shutdown" [ ("stopping", J.Bool true) ]
+  | Shutdown_req -> ok_response st id "shutdown" [ ("stopping", J.Bool true) ]
 
 (* Everything user-reachable maps to a typed class; anything else is an
    internal error, answered and counted, never a crash of the loop. *)
@@ -1006,21 +791,6 @@ let contained st id deadline_ms req =
   | exception e ->
       error_response st id Internal ("unexpected: " ^ Printexc.to_string e) []
 
-let id_cache_insert st key entry =
-  Hashtbl.replace st.id_cache key entry;
-  if Hashtbl.length st.id_cache > st.cfg.id_cache_entries then begin
-    let oldest = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !oldest with
-        | Some (_, lru) when lru <= e.ie_last_use -> ()
-        | _ -> oldest := Some (k, e.ie_last_use))
-      st.id_cache;
-    match !oldest with
-    | Some (k, _) -> Hashtbl.remove st.id_cache k
-    | None -> ()
-  end
-
 let handle_line st line =
   st.c.total <- st.c.total + 1;
   let started = Unix.gettimeofday () in
@@ -1049,13 +819,11 @@ let handle_line st line =
           in
           match
             Option.bind req.req_id (fun id ->
-                Option.map (fun e -> (id, e)) (Hashtbl.find_opt st.id_cache id))
+                Option.map (fun e -> (id, e)) (Sutil.Lru.find st.id_cache id))
           with
           | Some (_, entry) when entry.ie_digest = digest ->
               (* Idempotent retry: replay the stored bytes verbatim. *)
               st.c.id_cache_hits <- st.c.id_cache_hits + 1;
-              st.id_tick <- st.id_tick + 1;
-              entry.ie_last_use <- st.id_tick;
               (entry.ie_response, false)
           | Some (id, _) ->
               let resp =
@@ -1088,13 +856,8 @@ let handle_line st line =
               let rendered = J.emit resp in
               (match req.req_id with
               | Some id when not stop ->
-                  st.id_tick <- st.id_tick + 1;
-                  id_cache_insert st id
-                    {
-                      ie_digest = digest;
-                      ie_response = rendered;
-                      ie_last_use = st.id_tick;
-                    }
+                  Sutil.Lru.add st.id_cache id
+                    { ie_digest = digest; ie_response = rendered }
               | Some _ | None -> ());
               (rendered, stop)))
 

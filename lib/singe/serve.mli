@@ -61,20 +61,20 @@ val default_config : config
 
 (** {1 Wire protocol} *)
 
-type target = {
-  t_mech : string;  (** bundled mechanism name (dme, heptane, ...) *)
+type target = Target.t = {
+  t_mech : string;
   t_kernel : string;
   t_arch : string;
   t_version : string;
   t_warps : int;
   t_points : int;
-  t_synth : bool option;  (** [--synth-exchange] override *)
+  t_synth : bool option;
+  t_overlap : bool;
   t_partition : string;
-      (** ["hand"] (default) or ["auto"]: auto resolves the warp
-          partition through {!Partition_search} (model-only for
-          compile/run/predict; a [tune] request confirms by simulation
-          and reports the search outcome in a ["partition"] object) *)
 }
+(** {!Target.t}, shared with the CLI. A [tune] request with
+    [t_partition = "auto"] confirms the searched partition by simulation
+    and reports the search outcome in a ["partition"] object. *)
 
 type payload =
   | Compile_req of target
@@ -96,8 +96,7 @@ type request = {
 }
 
 val default_target : target
-(** dme viscosity on kepler, ws, 8 warps, 8192 points — the fields a
-    request may omit. *)
+(** {!Target.default}: the values a request may omit. *)
 
 val request_to_json : request -> string
 (** Canonical one-line encoding (optional fields omitted when [None]).

@@ -48,7 +48,7 @@ let request_roundtrip_qcheck =
   let target_gen =
     Gen.map
       (fun ((((mech, kernel), (arch, version)), (warps, points, synth)),
-            partition) ->
+            (overlap, partition)) ->
         {
           Serve.t_mech = mech;
           t_kernel = kernel;
@@ -57,6 +57,7 @@ let request_roundtrip_qcheck =
           t_warps = warps;
           t_points = points;
           t_synth = synth;
+          t_overlap = overlap;
           t_partition = partition;
         })
       Gen.(
@@ -65,7 +66,7 @@ let request_roundtrip_qcheck =
              (pair (pair str_gen str_gen) (pair str_gen str_gen))
              (triple (int_range 1 1024) (int_range 1 1_000_000)
                 (opt Gen.bool)))
-          (oneofl [ "hand"; "auto" ]))
+          (pair Gen.bool (oneofl [ "hand"; "auto" ])))
   in
   let payload_gen =
     Gen.oneof
@@ -104,6 +105,73 @@ let request_roundtrip_qcheck =
          match Serve.parse_request line with
          | Ok r' -> r = r'
          | Error m -> Test.fail_reportf "decode failed: %s" m))
+
+(* The CLI leg: a target spelled as the CLI's own flags parses, through
+   the CLI's target term, into a target that encodes and decodes back to
+   itself — the two front ends read one table. *)
+let argv_roundtrip_qcheck =
+  let open QCheck in
+  let target_gen =
+    Gen.(
+      map
+        (fun ((mech, kernel, arch, version), (warps, points, synth),
+              (overlap, partition)) ->
+          {
+            Singe.Target.t_mech = mech;
+            t_kernel = kernel;
+            t_arch = arch;
+            t_version = version;
+            t_warps = warps;
+            t_points = points;
+            t_synth = synth;
+            t_overlap = overlap;
+            t_partition = partition;
+          })
+        (triple
+           (quad
+              (oneofl [ "dme"; "heptane"; "methane"; "hydrogen" ])
+              (oneofl
+                 [ "viscosity"; "conductivity"; "diffusion"; "chemistry";
+                   "edge3"; "unsharp2" ])
+              (oneofl [ "kepler"; "fermi" ])
+              (oneofl [ "ws"; "baseline"; "naive" ]))
+           (triple (int_range 1 64) (int_range 1 1_000_000) (opt bool))
+           (pair bool (oneofl [ "hand"; "auto" ]))))
+  in
+  let argv (t : Singe.Target.t) =
+    [ "singe"; "--mech"; t.t_mech; "--kernel"; t.t_kernel; "--arch"; t.t_arch;
+      "--version"; t.t_version; "--warps"; string_of_int t.t_warps;
+      "--points"; string_of_int t.t_points;
+      "--stencil-overlap"; string_of_bool t.t_overlap;
+      "--partition"; t.t_partition ]
+    @ match t.t_synth with
+      | Some b -> [ "--synth-exchange"; string_of_bool b ]
+      | None -> []
+  in
+  let arb =
+    make ~print:(fun t -> String.concat " " (argv t)) target_gen
+  in
+  QCheck_alcotest.to_alcotest ~verbose:false
+    (Test.make ~count:200 ~name:"CLI argv -> target -> JSON round-trip" arb
+       (fun t ->
+         let cmd =
+           Cmdliner.Cmd.v (Cmdliner.Cmd.info "singe") (Singe.Target.term ())
+         in
+         match
+           Cmdliner.Cmd.eval_value ~argv:(Array.of_list (argv t)) cmd
+         with
+         | Ok (`Ok parsed) -> (
+             let line =
+               Serve.request_to_json
+                 { Serve.req_id = None; req_deadline_ms = None;
+                   req = Serve.Compile_req parsed }
+             in
+             match Serve.parse_request line with
+             | Ok { Serve.req = Serve.Compile_req decoded; _ } ->
+                 parsed = t && decoded = t
+             | Ok _ -> Test.fail_reportf "decoded another kind: %s" line
+             | Error m -> Test.fail_reportf "decode failed: %s" m)
+         | _ -> Test.fail_reportf "the CLI rejected its own flags"))
 
 (* ---- one test per error class at the request boundary ---- *)
 
@@ -174,9 +242,28 @@ let test_compile_rejected_class () =
       {|{"kind":"run","mech":"hydrogen","points":2048,"warps":4,"faults":["corrupt-shfl:warp=0,nth=100000"]}|}
   in
   check_class resp "compile-rejected";
-  (* baseline divisibility is checked up front, not by an assert *)
+  (* the launch grid is checked up front, not by an assert, and answers
+     with the compiler's diagnostic: the text the CLI prints after
+     "singe: " for the same target *)
   let resp, _ =
     handle st {|{"kind":"run","mech":"hydrogen","version":"baseline","points":100,"warps":4}|}
+  in
+  check_class resp "compile-rejected";
+  let resp, _ =
+    handle st
+      {|{"kind":"run","mech":"hydrogen","version":"baseline","points":1000,"warps":4}|}
+  in
+  check_class resp "compile-rejected";
+  Alcotest.(check (option string))
+    "launch diagnostic"
+    (Some
+       "error[launch]: viscosity: baseline viscosity launches one thread per \
+        point: 1000 points do not divide into 128-thread CTAs (4 warps x 32); \
+        pick a multiple or pass an explicit CTA count")
+    (sfield resp "message");
+  (* the warp-specialized grid too: 1000 points leave a partial batch *)
+  let resp, _ =
+    handle st {|{"kind":"predict","mech":"hydrogen","points":1000,"warps":4}|}
   in
   check_class resp "compile-rejected"
 
@@ -401,6 +488,7 @@ let test_memo_reverification () =
 let tests =
   [
     request_roundtrip_qcheck;
+    argv_roundtrip_qcheck;
     Alcotest.test_case "bad-request class" `Quick test_bad_request_class;
     Alcotest.test_case "non-positive deadline rejected" `Quick
       test_nonpositive_deadline_rejected;

@@ -163,6 +163,40 @@ let test_json_rejects () =
   Alcotest.(check bool) "nesting of 512 accepted" true
     (Result.is_ok (J.parse deepest))
 
+(* The bounded LRU behind every long-lived cache: the capacity holds,
+   a hit refreshes recency, the least recent entry goes first, and every
+   eviction (but no removal or clear) is counted. *)
+let test_lru () =
+  let module L = Sutil.Lru in
+  let c = L.create 2 in
+  let present k = Option.is_some (L.find c k) in
+  L.add c "a" 1;
+  L.add c "b" 2;
+  ignore (L.find c "a");
+  L.add c "c" 3;
+  Alcotest.(check int) "bound" 2 (L.length c);
+  Alcotest.(check bool) "least recent evicted" false (present "b");
+  Alcotest.(check int) "one eviction" 1 (L.evictions c);
+  Alcotest.(check (option int)) "hit keeps its value" (Some 1) (L.find c "a");
+  (* recency is now c, a: replacing c keeps the size and makes a oldest *)
+  L.add c "c" 30;
+  L.add c "d" 4;
+  Alcotest.(check bool) "a evicted" false (present "a");
+  Alcotest.(check (option int)) "replaced value" (Some 30) (L.find c "c");
+  Alcotest.(check int) "two evictions" 2 (L.evictions c);
+  (* reading c made d the least recent, so shrinking evicts d at once *)
+  L.set_capacity c 1;
+  Alcotest.(check bool) "shrunk to the most recent" true
+    (L.length c = 1 && present "c");
+  L.remove c "c";
+  L.add c "e" 5;
+  L.clear c;
+  Alcotest.(check int) "cleared" 0 (L.length c);
+  Alcotest.(check int) "removal and clear are not evictions" 3 (L.evictions c);
+  Alcotest.check_raises "capacity below 1"
+    (Invalid_argument "Lru: capacity = 0 must be >= 1") (fun () ->
+      ignore (L.create 0))
+
 let tests =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -176,4 +210,5 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
     Alcotest.test_case "json number text" `Quick test_json_numbers;
     Alcotest.test_case "json rejects malformed input" `Quick test_json_rejects;
+    Alcotest.test_case "lru bound, recency and evictions" `Quick test_lru;
   ]
